@@ -77,8 +77,12 @@ def main(argv=None) -> int:
     print(header)
     print("-" * len(header))
     for point in points:
-        rel = point.get("rel_error")
-        rel_text = f"{rel:.2e}" if rel is not None else "(no oracle)"
+        if point.get("rel_error") is not None:
+            rel_text = f"{point['rel_error']:.2e}"
+        elif "abs_error" in point:  # ground energy 0: no relative error
+            rel_text = f"abs {point['abs_error']:.2e}"
+        else:
+            rel_text = "(no oracle)"
         print(f"{point['lambda']:8.3f}  {point['energy']:16.9f}  "
               f"{str(point['converged']):>9}  {rel_text:>10}")
     print(f"\nper-point outputs under {out_dir}/point_*/")

@@ -192,6 +192,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     d_u = _as_int(data.get("d_U", 8), "d_U", minimum=1)
     d_v = _as_int(data.get("d_V", 4), "d_V", minimum=1)
     shots = _as_int(data.get("shots", 0), "shots", minimum=0)
+    if shots > 0:
+        raise ConfigError(
+            f"shots must be 0, got {shots}: runs evaluate with the exact "
+            "direct strategy, which takes no samples"
+        )
     seed = _as_int(data.get("seed", 0), "seed", minimum=0)
 
     ite_overrides = _parse_ite(_require_mapping(data.get("ite", {}), "ite"))
@@ -317,8 +322,17 @@ def _oracle_report(h: Hamiltonian, energy: float) -> dict:
     return {
         "status": "ok",
         "ground_energy": float(e0),
-        "rel_error": abs(1.0 - energy / e0),
+        "abs_error": abs(energy - e0),
+        # a relative error means nothing against a vanishing ground energy
+        "rel_error": abs(1.0 - energy / e0) if abs(e0) >= 1e-12 else None,
     }
+
+
+def _error_text(report: dict) -> str:
+    """Relative error of an ok oracle report, or the absolute one without it."""
+    if report["rel_error"] is None:
+        return f"  abs_error {report['abs_error']:.3e}"
+    return f"  rel_error {report['rel_error']:.3e}"
 
 
 def run_point(config: ExperimentConfig, lam: float, out_dir: Path) -> dict:
@@ -360,7 +374,7 @@ def cmd_run(config: ExperimentConfig, out_dir: Path) -> int:
     oracle = payload["oracle"]
     line = f"energy {payload['energy']!r}"
     if oracle["status"] == "ok":
-        line += f"  rel_error {oracle['rel_error']:.3e}"
+        line += _error_text(oracle)
     print(line)
     if not payload["converged"]:
         print("optimizer did not converge", file=sys.stderr)
@@ -422,16 +436,17 @@ def cmd_sweep(config: ExperimentConfig, out_dir: Path, threads: int) -> int:
             "energy": payload["energy"],
             "converged": payload["converged"],
         }
-        if payload["oracle"]["status"] == "ok":
-            entry["ground_energy"] = payload["oracle"]["ground_energy"]
-            entry["rel_error"] = payload["oracle"]["rel_error"]
+        oracle = payload["oracle"]
+        if oracle["status"] == "ok":
+            for key in ("ground_energy", "abs_error", "rel_error"):
+                entry[key] = oracle[key]
         summary.append(entry)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "sweep.json", {"points": summary})
     for entry in summary:
         line = f"lambda {entry['lambda']!r}: energy {entry['energy']!r}"
-        if "rel_error" in entry:
-            line += f"  rel_error {entry['rel_error']:.3e}"
+        if "ground_energy" in entry:
+            line += _error_text(entry)
         print(line)
     if not all(p["converged"] for p in payloads):
         print("one or more sweep points did not converge", file=sys.stderr)

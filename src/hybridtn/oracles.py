@@ -1,16 +1,18 @@
 """Brute-force reference implementations used to check the main paths.
 
-Everything here trades efficiency for literalness: Hamiltonians become
-dense matrices via Kronecker products, tree states are built by explicit
-summation over classical labels, and the pair-contraction rules are
-transcribed as einsum formulas.  The structured evaluators elsewhere in
-the package are validated against these, so this module must not reuse
-their contraction logic.
+Everything here trades efficiency for literalness: Hamiltonians of up to
+``DENSE_LIMIT`` qubits become dense matrices via Kronecker products,
+larger ones act through a matrix-free operator built from the Pauli bit
+arithmetic alone, tree states are built by explicit summation over
+classical labels, and the pair-contraction rules are transcribed as
+einsum formulas.  The structured evaluators elsewhere in the package are
+validated against these, so this module must not reuse their contraction
+logic.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +23,7 @@ from .pauli import Hamiltonian, PauliTerm
 from .statevector import StateVector
 from .tensors import MpsTensor, QuantumTensor
 
-DENSE_LIMIT = 12
+DENSE_LIMIT = 10
 ITERATIVE_LIMIT = 20
 TREE_STATE_LIMIT = 16
 
@@ -58,28 +60,55 @@ def hamiltonian_matrix(h: Hamiltonian) -> np.ndarray:
     return out
 
 
-def _apply_term(amps: np.ndarray, term: PauliTerm, n: int) -> np.ndarray:
-    """Matrix-free action of one Pauli term, via index arithmetic."""
-    out = amps
-    idx = np.arange(2**n)
-    for qubit, letter in term.factors:
-        bit = (idx >> qubit) & 1
-        if letter == "Z":
-            out = out * (1.0 - 2.0 * bit)
-        elif letter == "X":
-            out = out[idx ^ (1 << qubit)]
-        else:  # Y = i X Z up to the bit phases below
-            flipped = out[idx ^ (1 << qubit)]
-            # <x|Y|x^1>: amplitude picks up i if the new bit is 1, -i if 0
-            out = flipped * np.where(bit == 1, 1j, -1j)
-    return term.coefficient * out
+def _parity_signs(idx: np.ndarray, mask: int) -> np.ndarray:
+    """(-1)**popcount(idx & mask), elementwise, by folding the bits onto bit 0."""
+    bits = idx & mask
+    for shift in (32, 16, 8, 4, 2, 1):
+        bits ^= bits >> shift
+    return 1.0 - 2.0 * (bits & 1)
+
+
+@functools.lru_cache(maxsize=1)
+def _compiled(h: Hamiltonian) -> tuple[tuple[object, tuple[int, ...]], ...]:
+    """Terms grouped by X/Y flip mask, as (phase, flipped axes) pairs.
+
+    A term with flip mask m maps amplitude ``x ^ m`` to output index x with
+    phase ``c * (-i)**n_Y * (-1)**popcount(x & s)``, where s marks its Z and
+    Y qubits (Y = -i Z X on the output bit).  Terms sharing a mask sum
+    their phases; the phase stays a scalar when no term of the group has a
+    Z or Y factor and is complex only when one has a Y factor.  Axis
+    ``n - 1 - q`` of the ``(2,) * n`` amplitude view holds qubit q.
+    """
+    n = h.num_qubits
+    idx = np.arange(2**n, dtype=np.int64).reshape((2,) * n)
+    groups: dict[int, list[tuple[complex, int]]] = {}
+    for term in h.terms:  # canonical order fixes the summation order
+        flip = sign = n_y = 0
+        for qubit, letter in term.factors:
+            if letter != "Z":
+                flip |= 1 << qubit
+            if letter != "X":
+                sign |= 1 << qubit
+            n_y += letter == "Y"
+        coeff = term.coefficient * (-1j) ** n_y if n_y else term.coefficient
+        groups.setdefault(flip, []).append((coeff, sign))
+    compiled = []
+    for flip, parts in sorted(groups.items()):
+        phase = sum(
+            coeff * _parity_signs(idx, sign) if sign else coeff for coeff, sign in parts
+        )
+        axes = tuple(n - 1 - q for q in range(n) if flip >> q & 1)
+        compiled.append((phase, axes))
+    return tuple(compiled)
 
 
 def apply_hamiltonian(amps: np.ndarray, h: Hamiltonian) -> np.ndarray:
-    out = np.zeros_like(amps, dtype=complex)
-    for term in h.terms:
-        out += _apply_term(amps, term, h.num_qubits)
-    return out
+    """Matrix-free H @ amps: one phase times one flipped view per flip mask."""
+    psi = np.asarray(amps).reshape((2,) * h.num_qubits)
+    out = np.zeros(psi.shape, dtype=complex)
+    for phase, axes in _compiled(h):
+        out += phase * np.flip(psi, axes)
+    return out.reshape(-1)
 
 
 def _lanczos_ground(h: Hamiltonian, seed: int) -> tuple[float, np.ndarray]:
@@ -90,32 +119,31 @@ def _lanczos_ground(h: Hamiltonian, seed: int) -> tuple[float, np.ndarray]:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     v /= np.linalg.norm(v)
     krylov = min(dim, 80)
+    basis = np.empty((krylov, dim), dtype=complex)
     previous = None
     for _ in range(60):  # restart cycles
-        basis = [v]
+        basis[0] = v
         alphas, betas = [], []
         w = apply_hamiltonian(v, h)
         a = float(np.real(np.vdot(v, w)))
         alphas.append(a)
         w = w - a * v
-        for _ in range(1, krylov):
-            for u in basis:  # full reorthogonalization
-                w = w - np.vdot(u, w) * u
+        for j in range(1, krylov):
+            done = basis[:j]
+            for _ in range(2):  # full reorthogonalization, twice, without conj copies
+                w -= done.T @ np.conj(done @ np.conj(w))
             b = float(np.linalg.norm(w))
             if b < 1e-14:
                 break
-            v_next = w / b
-            basis.append(v_next)
+            basis[j] = w / b
             betas.append(b)
-            w = apply_hamiltonian(v_next, h)
-            a = float(np.real(np.vdot(v_next, w)))
+            w = apply_hamiltonian(basis[j], h)
+            a = float(np.real(np.vdot(basis[j], w)))
             alphas.append(a)
-            w = w - a * v_next - b * basis[-2]
+            w = w - a * basis[j] - b * basis[j - 1]
         evals, evecs = eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
         ritz = float(evals[0])
-        ground = np.zeros(dim, dtype=complex)
-        for coeff, u in zip(evecs[:, 0], basis):
-            ground += coeff * u
+        ground = evecs[:, 0] @ basis[: len(alphas)]
         ground /= np.linalg.norm(ground)
         residual = np.linalg.norm(apply_hamiltonian(ground, h) - ritz * ground)
         if previous is not None and abs(ritz - previous) < 1e-10 and residual < 1e-8:
@@ -126,7 +154,11 @@ def _lanczos_ground(h: Hamiltonian, seed: int) -> tuple[float, np.ndarray]:
 
 
 def exact_ground_energy(h: Hamiltonian, seed: int = 7) -> tuple[float, StateVector]:
-    """Ground energy and state: dense eigh up to 12 qubits, Lanczos to 20."""
+    """Ground energy and state: dense eigh up to 10 qubits, Lanczos to 20.
+
+    Above ``DENSE_LIMIT`` no matrix is built: Lanczos runs on the
+    matrix-free :func:`apply_hamiltonian`.
+    """
     n = h.num_qubits
     if n <= DENSE_LIMIT:
         matrix = hamiltonian_matrix(h)

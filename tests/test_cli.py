@@ -115,6 +115,17 @@ def test_config_lambda_forms():
         config_from_dict(minimal_config(**{"lambda": [0.0, "x"]}))
 
 
+def test_config_rejects_shots_under_direct_evaluation(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="direct strategy"):
+        config_from_dict(minimal_config(shots=1000))
+    assert config_from_dict(minimal_config(shots=0)).ite.shots == 0
+    config_path = write_config(tmp_path, minimal_config(shots=1000))
+    code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "direct strategy" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_rejects_bad_field_values():
     cases = [
         dict(model="3d_cube"),
@@ -161,6 +172,9 @@ def test_run_writes_complete_outputs(tmp_path):
     assert payload["converged"] is True
     assert payload["oracle"]["status"] == "ok"
     assert payload["oracle"]["rel_error"] <= 1e-3
+    assert payload["oracle"]["abs_error"] == pytest.approx(
+        abs(payload["energy"] - payload["oracle"]["ground_energy"]), abs=1e-15
+    )
     echo = payload["config"]
     assert echo["model"] == "1d_cluster"
     assert echo["lambda"] == 1.0
@@ -199,6 +213,28 @@ def test_run_writes_complete_outputs(tmp_path):
     )[0]
     text = (out / "hamiltonian.txt").read_text()
     assert hamiltonian_from_text(text) == h
+
+
+def test_run_reports_absolute_error_for_zero_ground_energy(tmp_path, capsys):
+    data = minimal_config(**{"lambda": 0.0, "fields": {"f": 0.0, "g": 0.0, "h": 0.0}})
+    config_path = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
+    oracle = read_result(out)["oracle"]
+    assert oracle["status"] == "ok"
+    assert oracle["ground_energy"] == 0.0
+    assert oracle["rel_error"] is None
+    assert oracle["abs_error"] == 0.0
+    assert "abs_error 0.000e+00" in capsys.readouterr().out
+
+    sweep_path = write_config(tmp_path, dict(data, **{"lambda": [0.0]}), "sweep.json")
+    sweep_out = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(sweep_path), "--out", str(sweep_out)])
+    assert code == EXIT_OK
+    (point,) = json.loads((sweep_out / "sweep.json").read_text())["points"]
+    assert point["rel_error"] is None
+    assert point["abs_error"] == 0.0
+    assert "abs_error 0.000e+00" in capsys.readouterr().out
 
 
 def test_run_reports_nonconvergence_but_still_writes(tmp_path, capsys):

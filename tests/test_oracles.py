@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from hybridtn import oracles
 from hybridtn.oracles import (
     DenseTreeSpec,
     OracleLimitError,
@@ -16,7 +19,7 @@ from hybridtn.oracles import (
     hamiltonian_matrix,
     pauli_term_matrix,
 )
-from hybridtn.pauli import Hamiltonian, PauliTerm, build_1d_cluster
+from hybridtn.pauli import Hamiltonian, PauliTerm, build_1d_cluster, build_2d_web
 from hybridtn.statevector import Circuit
 from hybridtn.tensors import QuantumTensor, mps_from_product
 from hybridtn.verify import random_qq_tree, tree_to_dense_spec
@@ -43,6 +46,35 @@ def test_hamiltonian_matrix_hermitian_and_consistent():
     amps = rng.normal(size=2**6) + 1j * rng.normal(size=2**6)
     np.testing.assert_allclose(
         apply_hamiltonian(amps, h), mat @ amps, atol=1e-10
+    )
+
+
+@st.composite
+def pauli_hamiltonians(draw):
+    """Random X/Y/Z words on 1-6 qubits, with mask-sharing partners and I."""
+    n = draw(st.integers(1, 6))
+    words = draw(
+        st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=1, max_size=8)
+    )
+    # X<->Y and I<->Z keep a word's flip mask, so partners share its group
+    swap = str.maketrans("IXYZ", "ZYXI")
+    words += [w.translate(swap) for w in words[: draw(st.integers(0, len(words)))]]
+    words.append("I" * n)
+    coeffs = st.floats(-2.0, 2.0, allow_nan=False)
+    terms = tuple(
+        PauliTerm.make(draw(coeffs), {q: c for q, c in enumerate(w) if c != "I"})
+        for w in words
+    )
+    return Hamiltonian(n, terms)
+
+
+@given(pauli_hamiltonians(), st.integers(0, 2**32 - 1))
+def test_compiled_operator_matches_kronecker_assembly(h, seed):
+    rng = np.random.default_rng(seed)
+    dim = 2**h.num_qubits
+    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    np.testing.assert_allclose(
+        apply_hamiltonian(amps, h), hamiltonian_matrix(h) @ amps, rtol=0, atol=1e-12
     )
 
 
@@ -79,6 +111,29 @@ def test_lanczos_path_above_dense_limit():
     e0, state = exact_ground_energy(h)
     residual = apply_hamiltonian(state.amps, h) - e0 * state.amps
     assert np.linalg.norm(residual) < 1e-7
+
+
+def _no_dense_matrix(h):
+    raise AssertionError(f"dense matrix built for {h.num_qubits} qubits")
+
+
+def test_lanczos_route_reproduces_decoupled_web_blocks(monkeypatch):
+    h, _ = build_2d_web(4, 3, lam=0.0, seed=7)  # 12 qubits, three equal rows
+    block, _ = build_1d_cluster(4, 1, lam=0.0, seed=7)
+    block_energy, _ = exact_ground_energy(block)
+    monkeypatch.setattr(oracles, "hamiltonian_matrix", _no_dense_matrix)
+    e0, state = exact_ground_energy(h)
+    assert e0 == pytest.approx(3 * block_energy, abs=1e-9)
+    residual = apply_hamiltonian(state.amps, h) - e0 * state.amps
+    assert np.linalg.norm(residual) < 1e-8
+
+
+def test_lanczos_route_identity_hamiltonian(monkeypatch):
+    monkeypatch.setattr(oracles, "hamiltonian_matrix", _no_dense_matrix)
+    h = Hamiltonian(11, (PauliTerm(-0.75, ()),))
+    e0, state = exact_ground_energy(h)
+    assert e0 == pytest.approx(-0.75, abs=1e-12)
+    assert np.linalg.norm(state.amps) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ground_energy_term_order_invariant():
