@@ -24,7 +24,6 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -415,17 +414,12 @@ def cmd_verify(shots: int, seed: int) -> int:
     return EXIT_OK if all(r.passed for r in results) else 1
 
 
-def cmd_sweep(config: ExperimentConfig, out_dir: Path, threads: int) -> int:
+def cmd_sweep(config: ExperimentConfig, out_dir: Path) -> int:
     lams = config.lam if isinstance(config.lam, list) else [float(config.lam)]
     jobs = [
         (index, lam, out_dir / f"point_{index:02d}") for index, lam in enumerate(lams)
     ]
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        futures = [
-            pool.submit(run_point, config, lam, job_dir)
-            for _, lam, job_dir in jobs
-        ]
-        payloads = [f.result() for f in futures]
+    payloads = [run_point(config, lam, job_dir) for _, lam, job_dir in jobs]
 
     summary = []
     for (index, lam, job_dir), payload in zip(jobs, payloads):
@@ -468,7 +462,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if needs_config:
             p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="parallel jobs")
         p.add_argument(
             "--seed", type=int, default=None, help="override the config seed"
         )
@@ -496,7 +489,7 @@ def main(argv=None) -> int:
             return cmd_run(config, out_dir)
         if args.verb == "exact":
             return cmd_exact(config, out_dir)
-        return cmd_sweep(config, out_dir, args.threads)
+        return cmd_sweep(config, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -24,7 +24,10 @@ does so for the two-layer quantum-quantum trees, where all perturbed
 states of one circuit are simulated together in a single sweep (each
 rotation gate obeys G(t + d) = G(d) G(t), so a perturbed row is the
 shared sweep plus one extra fixed-angle gate) and the stencil reduces
-to a handful of Gram-block contractions.
+to a handful of Gram-block contractions.  A perturbed row joins the
+sweep at its slot's first gate, as a copy of the base row.  The branch
+observable blocks <B[a, x]| W |B[a, y]> cost one flipped copy of the
+stack, one product with the bras and one GEMM per X/Y flip mask of W.
 """
 
 from __future__ import annotations
@@ -34,13 +37,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .oracles import apply_hamiltonian
-from .pauli import Hamiltonian, decompose_for_layout
+from .pauli import Hamiltonian, decompose_for_layout, parity_signs, pauli_word_masks
 from .rng import SplitMix64
-from .statevector import Circuit, GateOp, _apply_1q, apply_circuit_array, apply_op_array, apply_pauli_array
-from .tensors import QuantumTensor
+from .statevector import Circuit, _apply_1q, apply_circuit_array, apply_op_array
 from .tree import (
     HybridTree,
-    ProductObservable,
     is_two_layer_qq,
     tree_energy,
     tree_overlap,
@@ -286,56 +287,97 @@ def _perturbed_stack(circuit: Circuit, params, init_states: np.ndarray, delta: f
     family, row 1 + q the family at params + delta e_q.  Rotation-angle
     additivity lets every row share the base sweep: after applying a gate
     with slot q at the base angle, row 1 + q receives the same gate at the
-    fixed angle delta.
+    fixed angle delta.  Row 1 + q equals row 0 until slot q's first gate,
+    where it is spawned as a copy of row 0; each gate acts on the rows
+    spawned so far (kept in order of first use).  Unused slots keep row 0.
     """
     m = circuit.num_params
     n = circuit.num_qubits
-    stack = np.tile(init_states, (m + 1, 1, 1)).astype(complex)
+    buf = np.empty((m + 1,) + init_states.shape, dtype=complex)
+    buf[0] = init_states
+    row_of: dict[int, int] = {}  # slot -> buffer row, in order of first use
     for op in circuit.ops:
-        stack = apply_op_array(stack, op, params, n)
-        if op.param is not None:
+        slot = op.param
+        if slot is not None and slot not in row_of:
+            row_of[slot] = len(row_of) + 1
+            buf[row_of[slot]] = buf[0]
+        live = len(row_of) + 1
+        buf[:live] = apply_op_array(buf[:live], op, params, n)
+        if slot is not None:
+            row = row_of[slot]
             bump = replace(op, param=None, angle=delta)
-            stack[op.param + 1] = apply_op_array(stack[op.param + 1], bump, None, n)
-    return stack
+            buf[row] = apply_op_array(buf[row], bump, None, n)
+    order = [0] + [row_of.get(q, 0) for q in range(m)]
+    if order != list(range(m + 1)):
+        buf = buf[order]
+    return buf
 
 
-def _initial_family(payload: QuantumTensor) -> np.ndarray:
-    dim = 2**payload.num_qubits
-    init = np.zeros((payload.num_labels_classical(), dim), dtype=complex)
-    for row, bits in enumerate(payload.initial_bits):
-        init[row, int(bits, 2)] = 1.0
-    return init
+def _compile_words(words, n: int):
+    """Local Pauli words as (flipped axes, word columns, phases) per flip mask.
+
+    Column j of the (2**n, g) phase matrix is the group's j-th word's phase
+    at each output index (:func:`~hybridtn.pauli.pauli_word_masks`); axis
+    ``n - 1 - q`` of the ``(2,) * n`` amplitude view holds qubit q.
+    """
+    idx = np.arange(2**n, dtype=np.int64)
+    groups: dict[int, list[tuple[int, np.ndarray]]] = {}
+    for col, word in enumerate(words):
+        flip, sign, n_y = pauli_word_masks(word)
+        groups.setdefault(flip, []).append((col, (-1j) ** n_y * parity_signs(idx, sign)))
+    return tuple(
+        (
+            tuple(n - 1 - q for q in range(n) if flip >> q & 1),
+            np.array([col for col, _ in members]),
+            np.stack([phase for _, phase in members], axis=1),
+        )
+        for flip, members in sorted(groups.items())
+    )
 
 
-def _reduced_1(v_bra, w_ket, s: int, k: int) -> np.ndarray:
-    """D[x, y] = <v| (|x><y| at qubit s) |w> on a k-qubit register."""
-    idx = np.arange(2**k)
-    rest = idx[((idx >> s) & 1) == 0]
-    d = np.empty((2, 2), dtype=complex)
-    for x in range(2):
-        for y in range(2):
-            d[x, y] = np.vdot(v_bra[rest + (x << s)], w_ket[rest + (y << s)])
-    return d
+def _obs_blocks(b: np.ndarray, groups) -> np.ndarray:
+    """H[w, a, x, y] = <b[a, x]| W_w |b[a, y]> for every compiled word.
+
+    Per flip mask: one flipped view of the stack, one elementwise product
+    with the conjugate bras, and one GEMM against the phase matrix.
+    """
+    rows, labels, dim = b.shape
+    n = dim.bit_length() - 1
+    num_words = sum(len(cols) for _, cols, _ in groups)
+    bras = b.conj()[:, :, None, :]
+    view = b.reshape((rows * labels,) + (2,) * n)
+    out = np.empty((num_words, rows * labels * labels), dtype=complex)
+    for axes, cols, phases in groups:
+        flipped = np.flip(view, tuple(1 + ax for ax in axes)).reshape(b.shape)
+        prod = bras * flipped[:, None, :, :]
+        out[cols] = (prod.reshape(-1, dim) @ phases).T
+    return out.reshape(num_words, rows, labels, labels)
 
 
-def _reduced_2(v_bra, w_ket, s: int, r: int, k: int) -> np.ndarray:
-    """D[x, u, y, v] = <v| (|x><y| at s)(|u><v| at r) |w>."""
-    idx = np.arange(2**k)
-    rest = idx[(((idx >> s) & 1) == 0) & (((idx >> r) & 1) == 0)]
-    d = np.empty((2, 2, 2, 2), dtype=complex)
-    for x in range(2):
-        for u in range(2):
-            for y in range(2):
-                for v in range(2):
-                    d[x, u, y, v] = np.vdot(
-                        v_bra[rest + (x << s) + (u << r)],
-                        w_ket[rest + (y << s) + (v << r)],
-                    )
-    return d
+def _reduced(v_bra, w_ket, qubits, k: int) -> np.ndarray:
+    """One- or two-qubit reduction of <v_bra| . |w_ket> on a k-qubit register.
+
+    D[x, y] = <v| (|x><y| at s) |w> for qubits (s,), and
+    D[x, u, y, v] = <v| (|x><y| at s)(|u><v| at r) |w> for (s, r).
+    """
+    axes = [k - 1 - q for q in qubits]
+
+    def split(amps):
+        moved = np.moveaxis(amps.reshape((2,) * k), axes, range(len(axes)))
+        return moved.reshape(2 ** len(axes), -1)
+
+    return (split(v_bra).conj() @ split(w_ket).T).reshape((2,) * (2 * len(axes)))
 
 
 class _FdWorkspace:
-    """Perturbation stacks and Gram blocks at one (params, delta) point."""
+    """Perturbation stacks and Gram blocks at one (params, delta) point.
+
+    Each node's stack comes from :func:`_perturbed_stack`, whose rows are
+    spawned lazily at their slot's first gate.  The branch Gram blocks
+    G[a, b, x, y] = <B[a, x]|B[b, y]> are one GEMM per branch; the branch
+    observable blocks of :func:`_obs_blocks` are formed from the same
+    stacks, one GEMM per flip-mask group of the branch's local words.
+    """
 
     def __init__(self, tree: HybridTree, delta: float):
         payloads = [tree.root.payload] + [
@@ -343,49 +385,27 @@ class _FdWorkspace:
         ]
         self.k = len(payloads) - 1
         self.slices = tree.param_slices()  # pre-order: root, then branches
-        self.delta = delta
         self.stacks = [
-            _perturbed_stack(p.circuits[0], p.params[0], _initial_family(p), delta)
+            _perturbed_stack(p.circuits[0], p.params[0], p.initial_states(), delta)
             for p in payloads
         ]
         self.root_stack = self.stacks[0][:, 0, :]  # (m0 + 1, 2**k)
         self.v0 = self.root_stack[0]
         self.grams = [None]
-        for s in range(1, self.k + 1):
-            b = self.stacks[s]
+        for b in self.stacks[1:]:
             m_plus = b.shape[0]
             b2 = b.reshape(m_plus * 2, -1)
             g2 = b2.conj() @ b2.T
-            self.grams.append(
-                g2.reshape(m_plus, 2, m_plus, 2).transpose(0, 2, 1, 3)
-            )
-        self.obs_diag_cache: dict = {}
+            self.grams.append(g2.reshape(m_plus, 2, m_plus, 2).transpose(0, 2, 1, 3))
+        self.base_mats = [g[0, 0] for g in self.grams[1:]]
 
-    def base_mat(self, s: int) -> np.ndarray:
-        return self.grams[s][0, 0]
 
-    def env_vector(self, exclude: set[int], mats=None) -> np.ndarray:
-        """Base root state with per-branch 2x2 matrices applied elsewhere."""
-        w = self.v0
-        for r in range(self.k):
-            if r in exclude:
-                continue
-            mat = self.base_mat(r + 1) if mats is None else mats[r]
-            w = _apply_1q(w, mat, r, self.k)
-        return w
-
-    def obs_diag(self, s: int, local_obs) -> np.ndarray:
-        """H[a, x, y] = <B_s[a, x]| O |B_s[a, y]> for one branch stack."""
-        key = (s, local_obs)
-        hit = self.obs_diag_cache.get(key)
-        if hit is not None:
-            return hit
-        b = self.stacks[s]
-        n = int(np.log2(b.shape[-1]))
-        ob = apply_pauli_array(b, local_obs, n)
-        out = np.einsum("axd,ayd->axy", b.conj(), ob)
-        self.obs_diag_cache[key] = out
-        return out
+def _with_branch_mats(w, mats, k: int, skip=()) -> np.ndarray:
+    """Root amplitudes with 2x2 matrix mats[r] applied at qubit r, r not in skip."""
+    for r in range(k):
+        if r not in skip:
+            w = _apply_1q(w, mats[r], r, k)
+    return w
 
 
 class TreeProblem:
@@ -416,6 +436,18 @@ class TreeProblem:
         self._energy_cache: dict[bytes, float] = {}
         self._workspace: tuple | None = None
         if self._fast:
+            # each branch's distinct local words, compiled once into
+            # flip-mask groups; _word_cols[t][s] is term t's word on branch s
+            branches = range(len(tree.root.children))
+            words = [sorted({t[s] for _, t in self.factors}) for s in branches]
+            self._word_groups = [
+                _compile_words(ws, link.node.payload.num_qubits)
+                for ws, link in zip(words, tree.root.children)
+            ]
+            self._word_cols = [
+                [ws.index(locals_[s]) for s, ws in enumerate(words)]
+                for _, locals_ in self.factors
+            ]
             # expose the batched stencil only for the exact qq evaluation;
             # the driver dispatches on attribute presence
             self.overlap_fd_matrix = self._overlap_fd_matrix
@@ -472,10 +504,7 @@ class TreeProblem:
         slices = [slice(a, b) for a, b in ws.slices]
 
         # root-root block: every branch carries its base Gram matrix
-        w_all = root
-        for r in range(k):
-            w_all = _apply_1q(w_all, ws.base_mat(r + 1), r, k)
-        blk = root.conj() @ w_all.T
+        blk = root.conj() @ _with_branch_mats(root, ws.base_mats, k).T
         s_mat[slices[0], slices[0]] = blk[1:, 1:]
         s_vec[slices[0]] = blk[0, 1:]
         n0 = complex(blk[0, 0])
@@ -483,7 +512,7 @@ class TreeProblem:
         for s in range(1, k + 1):
             qs = s - 1
             gram = ws.grams[s]
-            w_s = ws.env_vector({qs})
+            w_s = _with_branch_mats(ws.v0, ws.base_mats, k, {qs})
             # root-bra against branch-ket perturbations
             pre, post = 2 ** (k - 1 - qs), 2**qs
             w3 = w_s.reshape(pre, 2, post)
@@ -492,15 +521,15 @@ class TreeProblem:
             s_mat[slices[0], slices[s]] = blk[1:, 1:]
             s_mat[slices[s], slices[0]] = blk[1:, 1:].conj().T
             # same-branch block via the one-qubit reduction of the root
-            d1 = _reduced_1(ws.v0, w_s, qs, k)
+            d1 = _reduced(ws.v0, w_s, (qs,), k)
             blk = np.einsum("abxy,xy->ab", gram, d1)
             s_mat[slices[s], slices[s]] = blk[1:, 1:]
             s_vec[slices[s]] = blk[0, 1:]
             # cross-branch blocks via two-qubit reductions
             for r in range(s + 1, k + 1):
                 qr = r - 1
-                w_sr = ws.env_vector({qs, qr})
-                d2 = _reduced_2(ws.v0, w_sr, qs, qr, k)
+                w_sr = _with_branch_mats(ws.v0, ws.base_mats, k, {qs, qr})
+                d2 = _reduced(ws.v0, w_sr, (qs, qr), k)
                 blk = np.einsum(
                     "axy,buv,xuyv->ab", gram[:, 0], ws.grams[r][0], d2
                 )
@@ -517,18 +546,19 @@ class TreeProblem:
         slices = [slice(a, b) for a, b in ws.slices]
         e0 = 0.0
         evec = np.zeros(self.num_params)
-        for coeff, locals_ in self.factors:
-            diags = [ws.obs_diag(s + 1, locals_[s]) for s in range(k)]
+        blocks = [
+            _obs_blocks(ws.stacks[s + 1], self._word_groups[s]) for s in range(k)
+        ]
+        for (coeff, _), cols in zip(self.factors, self._word_cols):
+            diags = [blocks[s][cols[s]] for s in range(k)]
             base_mats = [d[0] for d in diags]
-            w = root
-            for s in range(k):
-                w = _apply_1q(w, base_mats[s], s, k)
+            w = _with_branch_mats(root, base_mats, k)
             vals_root = np.einsum("ad,ad->a", root.conj(), w).real
             e0 += coeff * vals_root[0]
             evec[slices[0]] += coeff * vals_root[1:]
             for s in range(k):
-                w_s = ws.env_vector({s}, mats=base_mats)
-                d1 = _reduced_1(ws.v0, w_s, s, k)
+                w_s = _with_branch_mats(ws.v0, base_mats, k, {s})
+                d1 = _reduced(ws.v0, w_s, (s,), k)
                 vals = np.einsum("axy,xy->a", diags[s], d1).real
                 evec[slices[s + 1]] += coeff * vals[1:]
         key = params.tobytes()

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import eigh_tridiagonal
 
-from .pauli import Hamiltonian, PauliTerm
+from .pauli import Hamiltonian, PauliTerm, parity_signs, pauli_word_masks
 from .statevector import StateVector
 from .tensors import MpsTensor, QuantumTensor
 
@@ -60,21 +60,13 @@ def hamiltonian_matrix(h: Hamiltonian) -> np.ndarray:
     return out
 
 
-def _parity_signs(idx: np.ndarray, mask: int) -> np.ndarray:
-    """(-1)**popcount(idx & mask), elementwise, by folding the bits onto bit 0."""
-    bits = idx & mask
-    for shift in (32, 16, 8, 4, 2, 1):
-        bits ^= bits >> shift
-    return 1.0 - 2.0 * (bits & 1)
-
-
 @functools.lru_cache(maxsize=1)
 def _compiled(h: Hamiltonian) -> tuple[tuple[object, tuple[int, ...]], ...]:
     """Terms grouped by X/Y flip mask, as (phase, flipped axes) pairs.
 
-    A term with flip mask m maps amplitude ``x ^ m`` to output index x with
-    phase ``c * (-i)**n_Y * (-1)**popcount(x & s)``, where s marks its Z and
-    Y qubits (Y = -i Z X on the output bit).  Terms sharing a mask sum
+    A term c * W contributes phase ``c * (-i)**n_y * (-1)**popcount(x & s)``
+    at output index x, read from amplitude ``x ^ m``, with (m, s, n_y) from
+    :func:`~hybridtn.pauli.pauli_word_masks`.  Terms sharing a mask sum
     their phases; the phase stays a scalar when no term of the group has a
     Z or Y factor and is complex only when one has a Y factor.  Axis
     ``n - 1 - q`` of the ``(2,) * n`` amplitude view holds qubit q.
@@ -83,19 +75,13 @@ def _compiled(h: Hamiltonian) -> tuple[tuple[object, tuple[int, ...]], ...]:
     idx = np.arange(2**n, dtype=np.int64).reshape((2,) * n)
     groups: dict[int, list[tuple[complex, int]]] = {}
     for term in h.terms:  # canonical order fixes the summation order
-        flip = sign = n_y = 0
-        for qubit, letter in term.factors:
-            if letter != "Z":
-                flip |= 1 << qubit
-            if letter != "X":
-                sign |= 1 << qubit
-            n_y += letter == "Y"
+        flip, sign, n_y = pauli_word_masks(term.factors)
         coeff = term.coefficient * (-1j) ** n_y if n_y else term.coefficient
         groups.setdefault(flip, []).append((coeff, sign))
     compiled = []
     for flip, parts in sorted(groups.items()):
         phase = sum(
-            coeff * _parity_signs(idx, sign) if sign else coeff for coeff, sign in parts
+            coeff * parity_signs(idx, sign) if sign else coeff for coeff, sign in parts
         )
         axes = tuple(n - 1 - q for q in range(n) if flip >> q & 1)
         compiled.append((phase, axes))

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .rng import SplitMix64
 
 PAULI_LETTERS = ("X", "Y", "Z")
@@ -82,6 +84,32 @@ class PauliTerm:
 
     def max_qubit(self) -> int:
         return max((q for q, _ in self.factors), default=-1)
+
+
+def pauli_word_masks(factors) -> tuple[int, int, int]:
+    """Flip mask, sign mask and Y count of a Pauli word.
+
+    The word maps amplitude ``x ^ flip`` to output index x with phase
+    ``(-i)**n_y * (-1)**popcount(x & sign)``: X and Y flip their qubit, Z
+    and Y read its output bit as a sign (Y = -i Z X).  Bit q of a mask is
+    qubit q.
+    """
+    flip = sign = n_y = 0
+    for qubit, letter in factors:
+        if letter != "Z":
+            flip |= 1 << qubit
+        if letter != "X":
+            sign |= 1 << qubit
+        n_y += letter == "Y"
+    return flip, sign, n_y
+
+
+def parity_signs(idx: np.ndarray, mask: int) -> np.ndarray:
+    """(-1)**popcount(idx & mask), elementwise, by folding the bits onto bit 0."""
+    bits = idx & mask
+    for shift in (32, 16, 8, 4, 2, 1):
+        bits ^= bits >> shift
+    return 1.0 - 2.0 * (bits & 1)
 
 
 @dataclass(frozen=True)

@@ -224,20 +224,22 @@ class QuantumTensor:
 
     # -- realization --------------------------------------------------------
 
+    def initial_states(self) -> np.ndarray:
+        """Basis states the circuits start from, one row per initial label."""
+        init = np.zeros((len(self.initial_bits), 2**self.num_qubits), dtype=complex)
+        for row, bits in enumerate(self.initial_bits):
+            init[row, int(bits, 2)] = 1.0
+        return init
+
     def family_states(self) -> np.ndarray:
         """Stack of the label states, shape (num_labels_classical, 2**n)."""
-        dim = 2**self.num_qubits
+        init = self.initial_states()
         if self.mode == SHARED_UNITARY:
-            init = np.zeros((len(self.initial_bits), dim), dtype=complex)
-            for row, bits in enumerate(self.initial_bits):
-                init[row, int(bits, 2)] = 1.0
             return apply_circuit_array(init, self.circuits[0], self.params[0])
-        rows = []
-        for circuit, vec in zip(self.circuits, self.params):
-            init = np.zeros(dim, dtype=complex)
-            init[0] = 1.0
-            rows.append(apply_circuit_array(init, circuit, vec))
-        return np.stack(rows)
+        return np.stack([
+            apply_circuit_array(row, circuit, vec)
+            for row, circuit, vec in zip(init, self.circuits, self.params)
+        ])
 
     def joint_state(self) -> np.ndarray:
         if self.num_labels_classical() != 1:

@@ -538,43 +538,3 @@ def cost_estimate(tree: HybridTree, epsilon: float) -> CostEstimate:
         quantum_samples=quantum_nodes * cq_unit,
         bound=bound,
     )
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def tree_to_json(tree: HybridTree) -> str:
-    import json
-
-    def describe(node: TreeNode) -> dict:
-        payload = node.payload
-        if isinstance(payload, QuantumTensor):
-            desc = {
-                "type": "quantum",
-                "mode": payload.mode,
-                "num_qubits": payload.num_qubits,
-                "labels": payload.num_labels_classical(),
-                "num_params": payload.num_params,
-            }
-        else:
-            desc = {
-                "type": "mps",
-                "num_sites": payload.num_sites,
-                "bond_dims": [core.shape[2] for core in payload.cores],
-            }
-        return {
-            "payload": desc,
-            "role": node.role,
-            "children": [
-                {"attach": link.attach, "case": link.case, "node": describe(link.node)}
-                for link in node.children
-            ],
-        }
-
-    doc = {
-        "depth": tree.depth,
-        "degree": tree.degree,
-        "subsystem_sizes": list(tree.layout.subsystem_sizes),
-        "root": describe(tree.root),
-    }
-    return json.dumps(doc, sort_keys=True)

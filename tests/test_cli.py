@@ -329,9 +329,7 @@ def test_sweep_layout_and_cross_verb_determinism(tmp_path):
         tmp_path, minimal_config(**{"lambda": [0.0, 1.0]}), "sweep.json.in"
     )
     out = tmp_path / "sweep"
-    code = main(
-        ["sweep", "--config", str(sweep_cfg), "--out", str(out), "--threads", "2"]
-    )
+    code = main(["sweep", "--config", str(sweep_cfg), "--out", str(out)])
     assert code == EXIT_OK
 
     summary = json.loads((out / "sweep.json").read_text())
@@ -373,6 +371,9 @@ def test_argparse_surface():
         main(["frobnicate"])
     with pytest.raises(SystemExit):
         main(["run"])  # --config is required
+    for verb in ("run", "exact", "sweep"):
+        with pytest.raises(SystemExit):  # sweep points run in order; no pool
+            main([verb, "--config", "config.json", "--threads", "2"])
 
 
 def test_verify_verb_reports_all_checks_passing(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """Imaginary-time flow: difference stencils, step control, and subspace mixing."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,6 +13,9 @@ from hybridtn.ite import (
     IteConfig,
     IteState,
     TreeProblem,
+    _compile_words,
+    _obs_blocks,
+    _perturbed_stack,
     expand_in_subspace,
     flow_direction,
     gradient_c,
@@ -24,7 +29,15 @@ from hybridtn.ite import (
 )
 from hybridtn.oracles import dense_tree_state, exact_ground_energy, hamiltonian_matrix
 from hybridtn.pauli import Hamiltonian, PauliTerm
-from hybridtn.statevector import Circuit, GateOp, build_hardware_efficient_ansatz
+from hybridtn.statevector import (
+    Circuit,
+    GateOp,
+    apply_circuit_array,
+    apply_pauli_array,
+    build_hardware_efficient_ansatz,
+    circuit_from_json,
+)
+from hybridtn.tensors import QuantumTensor
 from hybridtn.tree import tree_energy, tree_overlap
 from hybridtn.verify import random_circuit, random_qq_tree, tree_to_dense_spec
 
@@ -432,6 +445,73 @@ def test_fast_and_generic_routes_agree_on_metric_and_gradient():
     assert np.allclose(
         gradient_c(fast, params, 1e-3), gradient_c(generic, params, 1e-3), atol=1e-9
     )
+
+
+# Slot 3 drives two gates, slots first appear in the order 3, 1, 0, 4, and
+# slot 2 is never used; H, X, CNOT and fixed-angle gates sit in between.
+LAZY_STACK_CIRCUIT = json.dumps(
+    {
+        "num_qubits": 3,
+        "num_params": 5,
+        "ops": [
+            {"kind": "H", "targets": [0]},
+            {"kind": "RY", "targets": [1], "param": 3},
+            {"kind": "CNOT", "targets": [0, 2]},
+            {"kind": "RX", "targets": [2], "param": 1},
+            {"kind": "RZ", "targets": [0], "angle": 0.37},
+            {"kind": "RZZ", "targets": [1, 2], "param": 3},
+            {"kind": "X", "targets": [1]},
+            {"kind": "RZ", "targets": [1], "param": 0},
+            {"kind": "RY", "targets": [0], "angle": -0.8},
+            {"kind": "RX", "targets": [0], "param": 4},
+        ],
+    }
+)
+
+
+@pytest.mark.parametrize("initial_bits", [("000",), ("000", "101")])
+def test_perturbed_stack_matches_per_row_circuits(initial_bits):
+    circuit = circuit_from_json(LAZY_STACK_CIRCUIT)
+    params = np.random.default_rng(11).uniform(-np.pi, np.pi, circuit.num_params)
+    init = QuantumTensor.shared(circuit, initial_bits, params).initial_states()
+    delta = 1e-3
+    stack = _perturbed_stack(circuit, params, init, delta)
+    assert stack.shape == (circuit.num_params + 1, len(initial_bits), 8)
+    assert np.abs(stack[0] - apply_circuit_array(init, circuit, params)).max() <= 1e-12
+    for q in range(circuit.num_params):
+        bumped = params.copy()
+        bumped[q] += delta
+        want = apply_circuit_array(init, circuit, bumped)
+        assert np.abs(stack[1 + q] - want).max() <= 1e-12
+    assert np.array_equal(stack[3], stack[0])  # the unused slot keeps the base row
+
+
+@st.composite
+def branch_words(draw):
+    """Distinct X/Y/Z words on 1-6 qubits, with mask-sharing partners and I."""
+    n = draw(st.integers(1, 6))
+    letters = draw(
+        st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=1, max_size=8)
+    )
+    # X<->Y and I<->Z keep a word's flip mask, so partners share its group
+    swap = str.maketrans("IXYZ", "ZYXI")
+    letters += [w.translate(swap) for w in letters[: draw(st.integers(0, len(letters)))]]
+    letters.append("I" * n)
+    words = [tuple((q, c) for q, c in enumerate(w) if c != "I") for w in letters]
+    return n, list(dict.fromkeys(words))
+
+
+@given(branch_words(), st.integers(1, 4), st.integers(1, 2), st.integers(0, 2**32 - 1))
+def test_grouped_obs_blocks_match_per_word_pauli_application(nw, rows, labels, seed):
+    n, words = nw
+    rng = np.random.default_rng(seed)
+    shape = (rows, labels, 2**n)
+    b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    blocks = _obs_blocks(b, _compile_words(words, n))
+    assert blocks.shape == (len(words), rows, labels, labels)
+    for w, word in enumerate(words):
+        want = np.einsum("axd,ayd->axy", b.conj(), apply_pauli_array(b, word, n))
+        assert np.abs(blocks[w] - want).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
