@@ -108,18 +108,10 @@ def _as_float(value, field: str) -> float:
     return out
 
 
-_ITE_FLOAT_KEYS = (
-    "delta",
-    "dtau0",
-    "dtau_min",
-    "dtau_shrink",
-    "dtau_grow",
-    "dtau_cap",
-    "reg",
-    "conv_tol",
-    "init_scale",
-)
-_ITE_INT_KEYS = ("conv_window", "max_iters", "max_retries")
+# every IteConfig field but the seed, which lives at the top level
+_ITE_FIELDS = tuple(f for f in dataclasses.fields(IteConfig) if f.name != "seed")
+_ITE_FLOAT_KEYS = tuple(f.name for f in _ITE_FIELDS if type(f.default) is float)
+_ITE_INT_KEYS = tuple(f.name for f in _ITE_FIELDS if type(f.default) is int)
 
 
 def _parse_ite(data: dict) -> dict:
@@ -200,7 +192,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
     ite_overrides = _parse_ite(_require_mapping(data.get("ite", {}), "ite"))
     try:
-        ite = IteConfig(seed=seed, shots=shots, **ite_overrides)
+        ite = IteConfig(seed=seed, **ite_overrides)
     except ValueError as exc:
         raise ConfigError(f"ite: {exc}") from exc
 
@@ -255,20 +247,7 @@ def effective_config_dict(config: ExperimentConfig, lam) -> dict:
         },
         "d_U": config.d_u,
         "d_V": config.d_v,
-        "ite": {
-            "delta": config.ite.delta,
-            "dtau0": config.ite.dtau0,
-            "dtau_min": config.ite.dtau_min,
-            "dtau_shrink": config.ite.dtau_shrink,
-            "dtau_grow": config.ite.dtau_grow,
-            "dtau_cap": config.ite.dtau_cap,
-            "reg": config.ite.reg,
-            "conv_tol": config.ite.conv_tol,
-            "conv_window": config.ite.conv_window,
-            "max_iters": config.ite.max_iters,
-            "max_retries": config.ite.max_retries,
-            "init_scale": config.ite.init_scale,
-        },
+        "ite": {f.name: getattr(config.ite, f.name) for f in _ITE_FIELDS},
         "shots": config.shots,
         "seed": config.seed,
         "out": config.out,

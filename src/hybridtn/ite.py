@@ -20,14 +20,15 @@ A *problem* is anything with ``num_params``, ``energy(params)`` and
 provide ``overlap_fd_matrix(params, delta) -> (S, s, n0)`` and
 ``energies_fd(params, delta) -> (e0, evec)`` to service the whole
 finite-difference stencil in one batched pass; :class:`TreeProblem`
-does so for the two-layer quantum-quantum trees, where all perturbed
-states of one circuit are simulated together in a single sweep (each
-rotation gate obeys G(t + d) = G(d) G(t), so a perturbed row is the
-shared sweep plus one extra fixed-angle gate) and the stencil reduces
-to a handful of Gram-block contractions.  A perturbed row joins the
-sweep at its slot's first gate, as a copy of the base row.  The branch
-observable blocks <B[a, x]| W |B[a, y]> cost one flipped copy of the
-stack, one product with the bras and one GEMM per X/Y flip mask of W.
+does so for every tree evaluated exactly.  All perturbed states of one
+circuit are simulated together in a single sweep (each rotation gate obeys
+G(t + d) = G(d) G(t), so a perturbed row is the shared sweep plus one
+extra fixed-angle gate; a row joins the sweep at its slot's first gate,
+as a copy of the base row).  A perturbed state differs from the base in
+one node, so the tree contraction of :mod:`hybridtn.tree` with that node
+open yields a whole block of the stencil: one contraction per unordered
+node pair gives the overlaps (the reversed pair is its conjugate
+transpose), one per (term, node) the energies.
 """
 
 from __future__ import annotations
@@ -37,16 +38,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .oracles import apply_hamiltonian
-from .pauli import Hamiltonian, decompose_for_layout, parity_signs, pauli_word_masks
+from .pauli import Hamiltonian, decompose_for_layout
 from .rng import SplitMix64
-from .statevector import Circuit, _apply_1q, apply_circuit_array, apply_op_array
-from .tree import (
-    HybridTree,
-    is_two_layer_qq,
-    tree_energy,
-    tree_overlap,
-    tree_transition_energy,
-)
+from .statevector import Circuit, apply_circuit_array, apply_op_array
+from .tensors import SHARED_UNITARY, QuantumTensor
+from .tree import HybridTree, _Pass, _preorder, tree_overlap, tree_transition_energy
 
 ACCEPT_SLACK = 1e-9
 
@@ -116,7 +112,6 @@ class IteConfig:
     max_iters: int = 2000
     max_retries: int = 8
     seed: int = 0
-    shots: int = 0
     init_scale: float = 0.1
 
     def __post_init__(self):
@@ -313,107 +308,31 @@ def _perturbed_stack(circuit: Circuit, params, init_states: np.ndarray, delta: f
     return buf
 
 
-def _compile_words(words, n: int):
-    """Local Pauli words as (flipped axes, word columns, phases) per flip mask.
+def _payload_stack(payload: QuantumTensor, delta: float) -> np.ndarray:
+    """Row stack of a quantum payload: its family, then one row per parameter.
 
-    Column j of the (2**n, g) phase matrix is the group's j-th word's phase
-    at each output index (:func:`~hybridtn.pauli.pauli_word_masks`); axis
-    ``n - 1 - q`` of the ``(2,) * n`` amplitude view holds qubit q.
+    Row 1 + q is the family at the payload's flat parameters + delta e_q.
+    Each circuit's rows come from one :func:`_perturbed_stack` over the
+    labels it prepares: all of them (shared unitary) or its own.
     """
-    idx = np.arange(2**n, dtype=np.int64)
-    groups: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for col, word in enumerate(words):
-        flip, sign, n_y = pauli_word_masks(word)
-        groups.setdefault(flip, []).append((col, (-1j) ** n_y * parity_signs(idx, sign)))
-    return tuple(
-        (
-            tuple(n - 1 - q for q in range(n) if flip >> q & 1),
-            np.array([col for col, _ in members]),
-            np.stack([phase for _, phase in members], axis=1),
-        )
-        for flip, members in sorted(groups.items())
-    )
-
-
-def _obs_blocks(b: np.ndarray, groups) -> np.ndarray:
-    """H[w, a, x, y] = <b[a, x]| W_w |b[a, y]> for every compiled word.
-
-    Per flip mask: one flipped view of the stack, one elementwise product
-    with the conjugate bras, and one GEMM against the phase matrix.
-    """
-    rows, labels, dim = b.shape
-    n = dim.bit_length() - 1
-    num_words = sum(len(cols) for _, cols, _ in groups)
-    bras = b.conj()[:, :, None, :]
-    view = b.reshape((rows * labels,) + (2,) * n)
-    out = np.empty((num_words, rows * labels * labels), dtype=complex)
-    for axes, cols, phases in groups:
-        flipped = np.flip(view, tuple(1 + ax for ax in axes)).reshape(b.shape)
-        prod = bras * flipped[:, None, :, :]
-        out[cols] = (prod.reshape(-1, dim) @ phases).T
-    return out.reshape(num_words, rows, labels, labels)
-
-
-def _reduced(v_bra, w_ket, qubits, k: int) -> np.ndarray:
-    """One- or two-qubit reduction of <v_bra| . |w_ket> on a k-qubit register.
-
-    D[x, y] = <v| (|x><y| at s) |w> for qubits (s,), and
-    D[x, u, y, v] = <v| (|x><y| at s)(|u><v| at r) |w> for (s, r).
-    """
-    axes = [k - 1 - q for q in qubits]
-
-    def split(amps):
-        moved = np.moveaxis(amps.reshape((2,) * k), axes, range(len(axes)))
-        return moved.reshape(2 ** len(axes), -1)
-
-    return (split(v_bra).conj() @ split(w_ket).T).reshape((2,) * (2 * len(axes)))
-
-
-class _FdWorkspace:
-    """Perturbation stacks and Gram blocks at one (params, delta) point.
-
-    Each node's stack comes from :func:`_perturbed_stack`, whose rows are
-    spawned lazily at their slot's first gate.  The branch Gram blocks
-    G[a, b, x, y] = <B[a, x]|B[b, y]> are one GEMM per branch; the branch
-    observable blocks of :func:`_obs_blocks` are formed from the same
-    stacks, one GEMM per flip-mask group of the branch's local words.
-    """
-
-    def __init__(self, tree: HybridTree, delta: float):
-        payloads = [tree.root.payload] + [
-            link.node.payload for link in tree.root.children
-        ]
-        self.k = len(payloads) - 1
-        self.slices = tree.param_slices()  # pre-order: root, then branches
-        self.stacks = [
-            _perturbed_stack(p.circuits[0], p.params[0], p.initial_states(), delta)
-            for p in payloads
-        ]
-        self.root_stack = self.stacks[0][:, 0, :]  # (m0 + 1, 2**k)
-        self.v0 = self.root_stack[0]
-        self.grams = [None]
-        for b in self.stacks[1:]:
-            m_plus = b.shape[0]
-            b2 = b.reshape(m_plus * 2, -1)
-            g2 = b2.conj() @ b2.T
-            self.grams.append(g2.reshape(m_plus, 2, m_plus, 2).transpose(0, 2, 1, 3))
-        self.base_mats = [g[0, 0] for g in self.grams[1:]]
-
-
-def _with_branch_mats(w, mats, k: int, skip=()) -> np.ndarray:
-    """Root amplitudes with 2x2 matrix mats[r] applied at qubit r, r not in skip."""
-    for r in range(k):
-        if r not in skip:
-            w = _apply_1q(w, mats[r], r, k)
-    return w
+    init = payload.initial_states()
+    out = np.empty((1 + payload.num_params,) + init.shape, dtype=complex)
+    at = 1
+    for j, (circuit, vec) in enumerate(zip(payload.circuits, payload.params)):
+        labels = slice(None) if payload.mode == SHARED_UNITARY else slice(j, j + 1)
+        stack = _perturbed_stack(circuit, vec, init[labels], delta)
+        out[:, labels] = stack[0]
+        out[at : at + circuit.num_params, labels] = stack[1:]
+        at += circuit.num_params
+    return out
 
 
 class TreeProblem:
     """Ground-state search problem over a hybrid tree ansatz.
 
-    Two-layer quantum-quantum trees evaluated exactly get the batched
-    finite-difference fast path; everything else falls back to per-point
-    tree evaluations.
+    Exact evaluation (the direct strategy without shots) gets the batched
+    finite-difference stencil for every tree; sampled evaluation falls back
+    to per-point tree evaluations.
     """
 
     def __init__(
@@ -432,23 +351,22 @@ class TreeProblem:
         self.shots = shots
         self.seed = seed
         self.factors = decompose_for_layout(h, tree.layout)
-        self._fast = is_two_layer_qq(tree) and strategy == "direct" and shots == 0
+        self._words: dict = {}  # compiled local words per quantum leaf
         self._energy_cache: dict[bytes, float] = {}
-        self._workspace: tuple | None = None
-        if self._fast:
-            # each branch's distinct local words, compiled once into
-            # flip-mask groups; _word_cols[t][s] is term t's word on branch s
-            branches = range(len(tree.root.children))
-            words = [sorted({t[s] for _, t in self.factors}) for s in branches]
-            self._word_groups = [
-                _compile_words(ws, link.node.payload.num_qubits)
-                for ws, link in zip(words, tree.root.children)
-            ]
-            self._word_cols = [
-                [ws.index(locals_[s]) for s, ws in enumerate(words)]
-                for _, locals_ in self.factors
-            ]
-            # expose the batched stencil only for the exact qq evaluation;
+        self._point: tuple | None = None
+        # (pre-order index, parameter slice) of every quantum payload with
+        # parameters: the nodes the stencil perturbs
+        quantum = [
+            i
+            for i, node in enumerate(_preorder(tree.root))
+            if isinstance(node.payload, QuantumTensor)
+        ]
+        self._open = [
+            (i, slice(start, stop))
+            for i, (start, stop) in zip(quantum, tree.param_slices())
+            if stop > start
+        ]
+        if strategy == "direct" and shots == 0:
             # the driver dispatches on attribute presence
             self.overlap_fd_matrix = self._overlap_fd_matrix
             self.energies_fd = self._energies_fd
@@ -457,19 +375,21 @@ class TreeProblem:
     def num_params(self) -> int:
         return self.tree.num_params
 
+    def _pass(self, tree: HybridTree, seed: int = 0, stacks=None) -> _Pass:
+        return _Pass(
+            tree, tree, self.factors, strategy=self.strategy, shots=self.shots,
+            seed=seed, words=self._words, stacks=stacks,
+        )
+
     def energy(self, params) -> float:
         params = np.asarray(params, dtype=float)
         key = params.tobytes()
         hit = self._energy_cache.get(key)
         if hit is None:
-            hit = tree_energy(
-                self.tree.with_params(params),
-                self.h,
-                strategy=self.strategy,
-                shots=self.shots,
-                seed=self.seed + len(self._energy_cache),
+            run = self._pass(
+                self.tree.with_params(params), seed=self.seed + len(self._energy_cache)
             )
-            self._energy_cache[key] = hit
+            hit = self._energy_cache[key] = run.term_sum().real
         return hit
 
     def overlap(self, pa, pb) -> complex:
@@ -477,92 +397,58 @@ class TreeProblem:
             self.tree.with_params(pa), self.tree.with_params(pb)
         )
 
-    # -- batched finite-difference stencil (fast path) ----------------------
+    # -- batched finite-difference stencil ----------------------------------
 
-    def _fd_workspace(self, params: np.ndarray, delta: float) -> _FdWorkspace:
+    def _fd_pass(self, params: np.ndarray, delta: float) -> _Pass:
+        """The contraction pass over every node's perturbed row stack."""
         key = (params.tobytes(), delta)
-        if self._workspace is None or self._workspace[0] != key:
+        if self._point is None or self._point[0] != key:
             tree = self.tree.with_params(params)
-            self._workspace = (key, _FdWorkspace(tree, delta))
-        return self._workspace[1]
+            nodes = list(_preorder(tree.root))
+            stacks = {i: _payload_stack(nodes[i].payload, delta) for i, _ in self._open}
+            self._point = (key, self._pass(tree, stacks=stacks))
+        return self._point[1]
 
     def _overlap_fd_matrix(self, params, delta):
-        """All overlaps of the finite-difference stencil in Gram blocks.
+        """All overlaps of the finite-difference stencil, one pass per node pair.
 
-        Perturbed states differ from the base in a single component (root
-        or one branch), so every stencil overlap factorizes into branch
-        Gram entries contracted against one- or two-qubit reductions of
-        the root state.
+        A perturbed state differs from the base in one node, so the bra
+        opens node u and the ket node v, and the (u, v) root block holds
+        <psi(t + d e_i)|psi(t + d e_j)> for i in u's slice, j in v's, with
+        the base state in row and column 0.
         """
         params = np.asarray(params, dtype=float)
-        ws = self._fd_workspace(params, delta)
-        k = ws.k
+        run = self._fd_pass(params, delta)
         p = self.num_params
         s_mat = np.empty((p, p), dtype=complex)
         s_vec = np.empty(p, dtype=complex)
-        root = ws.root_stack
-        slices = [slice(a, b) for a, b in ws.slices]
-
-        # root-root block: every branch carries its base Gram matrix
-        blk = root.conj() @ _with_branch_mats(root, ws.base_mats, k).T
-        s_mat[slices[0], slices[0]] = blk[1:, 1:]
-        s_vec[slices[0]] = blk[0, 1:]
-        n0 = complex(blk[0, 0])
-
-        for s in range(1, k + 1):
-            qs = s - 1
-            gram = ws.grams[s]
-            w_s = _with_branch_mats(ws.v0, ws.base_mats, k, {qs})
-            # root-bra against branch-ket perturbations
-            pre, post = 2 ** (k - 1 - qs), 2**qs
-            w3 = w_s.reshape(pre, 2, post)
-            u = np.einsum("bxy,pyq->bpxq", gram[0], w3).reshape(gram.shape[0], -1)
-            blk = root.conj() @ u.T
-            s_mat[slices[0], slices[s]] = blk[1:, 1:]
-            s_mat[slices[s], slices[0]] = blk[1:, 1:].conj().T
-            # same-branch block via the one-qubit reduction of the root
-            d1 = _reduced(ws.v0, w_s, (qs,), k)
-            blk = np.einsum("abxy,xy->ab", gram, d1)
-            s_mat[slices[s], slices[s]] = blk[1:, 1:]
-            s_vec[slices[s]] = blk[0, 1:]
-            # cross-branch blocks via two-qubit reductions
-            for r in range(s + 1, k + 1):
-                qr = r - 1
-                w_sr = _with_branch_mats(ws.v0, ws.base_mats, k, {qs, qr})
-                d2 = _reduced(ws.v0, w_sr, (qs, qr), k)
-                blk = np.einsum(
-                    "axy,buv,xuyv->ab", gram[:, 0], ws.grams[r][0], d2
-                )
-                s_mat[slices[s], slices[r]] = blk[1:, 1:]
-                s_mat[slices[r], slices[s]] = blk[1:, 1:].conj().T
+        for at, (u, su) in enumerate(self._open):
+            for v, sv in self._open[at:]:
+                blk = run.block(0, None, u, v)[:, :, 0, 0]
+                s_mat[su, sv] = blk[1:, 1:]
+                s_mat[sv, su] = blk[1:, 1:].conj().T
+                if v == u:
+                    s_vec[su] = blk[0, 1:]
+        first = self._open[0][0] if self._open else None  # row 0 is the base
+        n0 = complex(run.block(0, None, first, first)[0, 0, 0, 0])
         return s_mat, s_vec, n0
 
     def _energies_fd(self, params, delta):
-        """Base energy and all single-slot forward-perturbed energies."""
+        """Base energy and all single-slot forward-perturbed energies.
+
+        One pass per (term, node): the node is open on both sides, so its
+        paired rows give the term's expectation in every perturbed state.
+        """
         params = np.asarray(params, dtype=float)
-        ws = self._fd_workspace(params, delta)
-        k = ws.k
-        root = ws.root_stack
-        slices = [slice(a, b) for a, b in ws.slices]
+        run = self._fd_pass(params, delta)
         e0 = 0.0
         evec = np.zeros(self.num_params)
-        blocks = [
-            _obs_blocks(ws.stacks[s + 1], self._word_groups[s]) for s in range(k)
-        ]
-        for (coeff, _), cols in zip(self.factors, self._word_cols):
-            diags = [blocks[s][cols[s]] for s in range(k)]
-            base_mats = [d[0] for d in diags]
-            w = _with_branch_mats(root, base_mats, k)
-            vals_root = np.einsum("ad,ad->a", root.conj(), w).real
-            e0 += coeff * vals_root[0]
-            evec[slices[0]] += coeff * vals_root[1:]
-            for s in range(k):
-                w_s = _with_branch_mats(ws.v0, base_mats, k, {s})
-                d1 = _reduced(ws.v0, w_s, (s,), k)
-                vals = np.einsum("axy,xy->a", diags[s], d1).real
-                evec[slices[s + 1]] += coeff * vals[1:]
-        key = params.tobytes()
-        self._energy_cache.setdefault(key, float(e0))
+        first = self._open[0][0] if self._open else None  # row 0 is the base
+        for coeff, locals_ in self.factors:
+            e0 += coeff * run.block(0, locals_, first, first)[0, 0, 0, 0].real
+            for u, su in self._open:
+                evec[su] += coeff * run.block(0, locals_, u, u)[1:, 0, 0, 0].real
+        self._energy_cache.setdefault(params.tobytes(), float(e0))
         return float(e0), evec
 
 
@@ -571,12 +457,10 @@ def run_ite_tree(
     h: Hamiltonian,
     config: IteConfig = IteConfig(),
     strategy: str = "direct",
-    shots: int | None = None,
+    shots: int = 0,
     init_params=None,
 ) -> tuple[IteResult, HybridTree]:
     """Ground-state search over a tree ansatz; returns the optimized tree."""
-    if shots is None:
-        shots = config.shots
     problem = TreeProblem(tree, h, strategy=strategy, shots=shots, seed=config.seed)
     result = run_ite(problem, config, init_params)
     return result, tree.with_params(result.params)

@@ -769,13 +769,16 @@ def _site_op(op, dim):
     if op is None:
         return np.eye(dim, dtype=complex)
     op = np.asarray(op, dtype=complex)
-    if op.shape != (dim, dim):
+    if op.shape[-2:] != (dim, dim):
         raise ValueError("site operator dimension mismatch")
     return op
 
 
-def mps_general_expectation(bra: MpsTensor, ket: MpsTensor, ops) -> complex:
-    """<bra| O_1 (x) ... (x) O_n |ket> via left-to-right transfer matrices."""
+def mps_general_expectation(bra: MpsTensor, ket: MpsTensor, ops):
+    """<bra| O_1 (x) ... (x) O_n |ket> via left-to-right transfer matrices.
+
+    Operators of shape (..., d, d) broadcast their batch axes into the result.
+    """
     if bra.num_sites != ket.num_sites:
         raise ValueError("site counts differ")
     if ops is None:
@@ -786,8 +789,9 @@ def mps_general_expectation(bra: MpsTensor, ket: MpsTensor, ops) -> complex:
     for site in range(bra.num_sites):
         cb, ck = bra.cores[site], ket.cores[site]
         op = _site_op(ops[site], cb.shape[1])
-        env = np.einsum("ac,apb,pq,cqd->bd", env, cb.conj(), op, ck)
-    return complex(env[0, 0])
+        env = np.einsum("...ac,apb,...pq,cqd->...bd", env, cb.conj(), op, ck)
+    out = env[..., 0, 0]
+    return complex(out) if out.ndim == 0 else out
 
 
 def mps_expectation(m: MpsTensor, ops) -> complex:
@@ -801,7 +805,8 @@ def mps_open_site_matrix(
     """Transfer contraction with one site left open on both layers.
 
     Returns M[p', p] over the open site's physical index; ``ops`` covers
-    the other sites (entries at ``open_site`` are ignored).
+    the other sites (entries at ``open_site`` are ignored); batched
+    operators give M[..., p', p].
     """
     if bra.num_sites != ket.num_sites:
         raise ValueError("site counts differ")
@@ -811,14 +816,14 @@ def mps_open_site_matrix(
     for site in range(open_site):
         cb, ck = bra.cores[site], ket.cores[site]
         op = _site_op(ops[site], cb.shape[1])
-        left = np.einsum("ac,apb,pq,cqd->bd", left, cb.conj(), op, ck)
+        left = np.einsum("...ac,apb,...pq,cqd->...bd", left, cb.conj(), op, ck)
     right = np.ones((1, 1), dtype=complex)
     for site in range(bra.num_sites - 1, open_site, -1):
         cb, ck = bra.cores[site], ket.cores[site]
         op = _site_op(ops[site], cb.shape[1])
-        right = np.einsum("apb,pq,cqd,bd->ac", cb.conj(), op, ck, right)
+        right = np.einsum("apb,...pq,cqd,...bd->...ac", cb.conj(), op, ck, right)
     cb, ck = bra.cores[open_site], ket.cores[open_site]
-    return np.einsum("ac,apb,cqd,bd->pq", left, cb.conj(), ck, right)
+    return np.einsum("...ac,apb,cqd,...bd->...pq", left, cb.conj(), ck, right)
 
 
 def random_mps(

@@ -12,12 +12,20 @@ upward.  The three two-layer variants are
 * ``cq``  quantum root, MPS branches whose site 0 is the branch leg
           (case 2 edges).
 
-Evaluation is bottom-up: every branch is reduced to its 2x2 observable (or
-overlap) matrix, parents absorb child matrices on the attach indices, and
-the root closes the contraction to a scalar.  Deeper trees evaluate by the
-same recursion.  Branch matrices are cached per (node, local observable)
-within an energy call so repeated Hamiltonian factors are measured once;
-an :class:`EvalCounters` passed in by the caller observes the number of
+Every tree quantity -- expectation, energy, overlap, transition element,
+and the perturbed states of the imaginary-time stencil -- comes from one
+bottom-up contraction (:class:`_Pass`).  Each node is reduced to a block
+<bra family| O |ket family> over its upward index, batched over bra and
+ket rows: a node whose family is a stack of perturbed rows is *open*,
+and its rows travel up to the root (paired, under an observable, when
+the node is open on both sides).  A quantum leaf serves every block as a
+slice of one Gram GEMM and one pass of local-word blocks over its rows.
+A quantum parent reduces its own states on its children's qubits and
+absorbs each child's block into that reduction by one GEMM; an MPS
+parent takes the blocks as batched site operators.  Blocks are cached
+per (node, local observable, open nodes below), so repeated Hamiltonian
+factors are measured once and unperturbed subtrees are shared; an
+:class:`EvalCounters` passed in by the caller observes the number of
 quantum- and classical-node evaluations actually performed.
 
 Parameters form one flat vector, distributed over quantum payloads in
@@ -26,12 +34,20 @@ pre-order (root first, then branches in attach order).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .pauli import Hamiltonian, LocalObs, PauliTerm, SubsystemLayout, decompose_for_layout
+from .pauli import (
+    Hamiltonian,
+    LocalObs,
+    PauliTerm,
+    SubsystemLayout,
+    decompose_for_layout,
+    parity_signs,
+    pauli_word_masks,
+)
 from .rng import SplitMix64
 from .statevector import Circuit, PAULI_MATRICES, _apply_1q
 from .tensors import (
@@ -143,133 +159,313 @@ class EvalCounters:
     classical_evals: int = 0
 
 
-@dataclass
-class _EvalContext:
-    strategy: str
-    shots: int
-    seed_stream: SplitMix64
-    counters: EvalCounters
-    state_cache: dict = field(default_factory=dict)
-    matrix_cache: dict = field(default_factory=dict)
-    subsystem_of: dict = field(default_factory=dict)
-    covered: dict = field(default_factory=dict)
+def _compile_words(words, n: int):
+    """Local Pauli words as (flipped axes, word columns, phases) per flip mask.
+
+    Column j of the (2**n, g) phase matrix is the group's j-th word's phase
+    at each output index (:func:`~hybridtn.pauli.pauli_word_masks`); axis
+    ``n - 1 - q`` of the ``(2,) * n`` amplitude view holds qubit q.
+    """
+    idx = np.arange(2**n, dtype=np.int64)
+    groups: dict[int, list[tuple[int, np.ndarray]]] = {}
+    for col, word in enumerate(words):
+        flip, sign, n_y = pauli_word_masks(word)
+        groups.setdefault(flip, []).append((col, (-1j) ** n_y * parity_signs(idx, sign)))
+    return tuple(
+        (
+            tuple(n - 1 - q for q in range(n) if flip >> q & 1),
+            np.array([col for col, _ in members]),
+            np.stack([phase for _, phase in members], axis=1),
+        )
+        for flip, members in sorted(groups.items())
+    )
 
 
-def _assign_subsystems(tree: HybridTree, ctx: _EvalContext):
-    """Give each node with physical slots a subsystem index, pre-order."""
-    counter = 0
+def _obs_blocks(b: np.ndarray, groups, bra: np.ndarray | None = None) -> np.ndarray:
+    """H[w, r, x, y] = <bra[r, x]| W_w |b[r, y]> for every compiled word.
 
-    def visit(node: TreeNode) -> set[int]:
-        nonlocal counter
+    ``bra`` defaults to ``b``.  Per flip mask: one flipped view of the
+    kets, one elementwise product with the conjugate bras, and one GEMM
+    against the phase matrix.
+    """
+    rows, labels, dim = b.shape
+    n = dim.bit_length() - 1
+    num_words = sum(len(cols) for _, cols, _ in groups)
+    bras = (b if bra is None else bra).conj()[:, :, None, :]
+    view = b.reshape((rows * labels,) + (2,) * n)
+    out = np.empty((num_words, rows * labels * labels), dtype=complex)
+    for axes, cols, phases in groups:
+        flipped = np.flip(view, tuple(1 + ax for ax in axes)).reshape(b.shape)
+        prod = bras * flipped[:, None, :, :]
+        out[cols] = (prod.reshape(-1, dim) @ phases).T
+    return out.reshape(num_words, rows, labels, labels)
+
+
+# entries of the base-state reduction a quantum parent keeps (4**q for q
+# children); a larger parent applies its unperturbed child blocks to its
+# amplitudes on every call instead
+_REDUCTION_MAX = 4**6
+
+
+def _reduce(bra, ket, qubits, n: int, paired: bool) -> np.ndarray:
+    """Reduction of a quantum parent's states on its children's qubits.
+
+    D[a, b, x, y, x_0 .. x_q-1, y_0 .. y_q-1] =
+    <bra[a, x]| (|x_0><y_0| on qubits[0]) ... |ket[b, y]> for row stacks
+    bra (A, l, 2**n) and ket (B, m, 2**n), by one GEMM over the other
+    qubits.  ``paired`` pairs bra row r with ket row r into D[r, 0].
+    """
+    q = len(qubits)
+    # axis n - t of the (rows, (2,) * n) view holds qubit t
+    front = [n - qubit for qubit in qubits]
+    perm = [0] + front + [ax for ax in range(1, 1 + n) if ax not in front]
+
+    def split(amps):
+        t = amps.reshape((-1,) + (2,) * n).transpose(perm)
+        return t.reshape(amps.shape[:2] + (2**q, -1))
+
+    b, k = split(bra).conj(), split(ket)
+    if paired:
+        d = np.einsum("alxn,amyn->almxy", b, k)[:, None]
+    else:
+        d = b.reshape(-1, b.shape[-1]) @ k.reshape(-1, k.shape[-1]).T
+        d = d.reshape(b.shape[:3] + k.shape[:3]).transpose(0, 3, 1, 4, 2, 5)
+    return d.reshape(d.shape[:4] + (2,) * (2 * q))
+
+
+def _absorb(d: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """sum_k d[a, b, L, k] mat[a, b, k] with the row axes broadcast, one GEMM.
+
+    Each row axis comes from one operand at most.
+    """
+    (ad, bd, size, k), (am, bm, _) = d.shape, mat.shape
+    if am == bm == 1:
+        return d @ mat[0, 0]
+    if am > 1 < ad or bm > 1 < bd:
+        raise ValueError("a row axis comes from more than one node")
+    p = (mat.reshape(-1, k) @ d.reshape(-1, k).T).reshape(am, bm, ad, bd, size)
+    return p.transpose(0, 2, 1, 3, 4).reshape(am * ad, bm * bd, size)
+
+
+class _Pass:
+    """One bottom-up contraction of <bra tree| . |ket tree>.
+
+    :meth:`block` gives node i's block (A, B, l_bra, l_ket) over its upward
+    index, nodes numbered in pre-order; the root's is (A, B, 1, 1).  Each
+    quantum node's family is a row stack (rows, labels, 2**n) whose row 0
+    is the family itself: ``stacks`` may supply them (the flow stencil's
+    perturbed rows), the others are the one-row family states.  The node
+    ``bra_open`` takes all rows of its bra stack and every other node row
+    0, likewise on the ket side, so A and B are 1 or an open node's row
+    count.  Under an observable a node open on both sides pairs its rows:
+    row r of the result is the expectation in the r-th family.
+    ``factors`` lists the (coefficient, factor tuple) terms asked for, so
+    a quantum leaf measures all its local words in one pass.
+    """
+
+    def __init__(
+        self,
+        bra: HybridTree,
+        ket: HybridTree,
+        factors=(),
+        counters: EvalCounters | None = None,
+        strategy: str = "direct",
+        shots: int = 0,
+        seed: int = 0,
+        words: dict | None = None,
+        stacks: dict | None = None,
+    ):
+        if any(len(f) != ket.layout.num_subsystems for _, f in factors):
+            raise ValueError("observable factor count does not match the layout")
+        self.factors = factors
+        self.counters = counters if counters is not None else EvalCounters()
+        self.strategy = strategy
+        self.shots = shots
+        self.seed_stream = SplitMix64(seed)
+        self.words = {} if words is None else words  # compiled, per leaf
+        self.ket_nodes = list(_preorder(ket.root))
+        self.ket_stacks = dict(stacks or {})
+        if bra is ket:
+            self.bra_nodes, self.bra_stacks = self.ket_nodes, self.ket_stacks
+        else:
+            self.bra_nodes, self.bra_stacks = list(_preorder(bra.root)), {}
+            for na, nb in zip(self.bra_nodes, self.ket_nodes):
+                if type(na.payload) is not type(nb.payload) or len(
+                    na.children
+                ) != len(nb.children):
+                    raise ValueError("overlap requires structurally identical trees")
+        # children[i] lists (attach, child index); node i's subtree is
+        # nodes i .. end[i] - 1 and covers the subsystems covered[i];
+        # physical[i] is (subsystem, physical qubits or sites) or None
+        self.children, self.end, self.physical, self.covered = [], [], [], []
+        self._index(ket.root)
+        if self.covered[0] != tuple(range(ket.layout.num_subsystems)):
+            raise ValueError("tree structure does not cover the subsystem layout")
+        self.blocks: dict = {}
+        self.grams: dict = {}
+        self.tables: dict = {}
+        self.reductions: dict = {}
+
+    def _index(self, node: TreeNode) -> int:
+        i = len(self.end)
+        self.end.append(0)
+        self.children.append(())
+        self.covered.append(())
         payload = node.payload
         attach = {link.attach for link in node.children}
         if isinstance(payload, QuantumTensor):
             physical = [q for q in range(payload.num_qubits) if q not in attach]
         else:
-            first_physical = 0 if node.role == "root" else 1
-            physical = [
-                s
-                for s in range(first_physical, payload.num_sites)
-                if s not in attach
-            ]
-        covered: set[int] = set()
-        if physical:
-            ctx.subsystem_of[id(node)] = (counter, tuple(physical))
-            covered.add(counter)
-            counter += 1
-        for link in node.children:
-            covered |= visit(link.node)
-        ctx.covered[id(node)] = covered
-        return covered
+            first = 0 if node.role == "root" else 1
+            physical = [s for s in range(first, payload.num_sites) if s not in attach]
+        subsystem = sum(entry is not None for entry in self.physical)
+        self.physical.append((subsystem, tuple(physical)) if physical else None)
+        self.children[i] = tuple(
+            (link.attach, self._index(link.node)) for link in node.children
+        )
+        covered = [subsystem] if physical else []
+        for _, j in self.children[i]:
+            covered.extend(self.covered[j])
+        self.covered[i] = tuple(sorted(covered))
+        self.end[i] = len(self.end)
+        return i
 
-    total = visit(tree.root)
-    if total != set(range(tree.layout.num_subsystems)):
-        raise ValueError("tree structure does not cover the subsystem layout")
+    def term_sum(self) -> complex:
+        """sum_t c_t <bra| O_t |ket> over the pass's terms."""
+        total = 0.0 + 0.0j
+        for coeff, locals_ in self.factors:
+            total += coeff * self.block(0, locals_)[0, 0, 0, 0]
+        return complex(total)
 
+    def block(self, i: int, obs, bra_open: int | None = None, ket_open=None):
+        """Block of node i under the factor tuple ``obs`` (None: overlap)."""
+        end = self.end[i]
+        if bra_open is not None and not i <= bra_open < end:
+            bra_open = None
+        if ket_open is not None and not i <= ket_open < end:
+            ket_open = None
+        local = None if obs is None else tuple(obs[s] for s in self.covered[i])
+        key = (i, local, bra_open, ket_open)
+        out = self.blocks.get(key)
+        if out is not None:
+            return out
+        kids = [
+            (attach, self.block(j, obs, bra_open, ket_open))
+            for attach, j in self.children[i]
+        ]
+        factors = self._local_factors(i, obs)
+        if isinstance(self.ket_nodes[i].payload, QuantumTensor):
+            out = self._quantum(i, obs, factors, kids, bra_open == i, ket_open == i)
+            self.counters.quantum_evals += 1
+        else:
+            out = self._mps(i, factors, kids)
+            self.counters.classical_evals += 1
+        self.blocks[key] = out
+        return out
 
-def _restrict(obs: ProductObservable, covered: set[int]) -> tuple:
-    return tuple(sorted((s, obs.factors[s]) for s in covered if obs.factors[s]))
+    def _local_factors(self, i: int, obs) -> tuple[tuple[int, str], ...]:
+        """The node's subsystem factor in payload coordinates."""
+        entry = self.physical[i]
+        if entry is None or obs is None:
+            return ()
+        subsystem, physical = entry
+        return tuple((physical[q], letter) for q, letter in obs[subsystem])
 
+    def _stack(self, stacks: dict, nodes: list, i: int) -> np.ndarray:
+        out = stacks.get(i)
+        if out is None:
+            out = stacks[i] = nodes[i].payload.family_states()[None]
+        return out
 
-def _family_states(ctx: _EvalContext, node: TreeNode) -> np.ndarray:
-    key = id(node)
-    if key not in ctx.state_cache:
-        ctx.state_cache[key] = node.payload.family_states()
-    return ctx.state_cache[key]
-
-
-def _local_factors(node, ctx, obs) -> tuple[tuple[int, str], ...]:
-    """Translate the node's subsystem observable into payload coordinates."""
-    entry = ctx.subsystem_of.get(id(node))
-    if entry is None:
-        return ()
-    subsystem, physical = entry
-    local_obs = obs.factors[subsystem]
-    out = []
-    for local_qubit, letter in local_obs:
-        out.append((physical[local_qubit], letter))
-    return tuple(out)
-
-
-def _node_matrix(node: TreeNode, obs: ProductObservable, ctx: _EvalContext) -> np.ndarray:
-    """Observable matrix over the node's upward index (1x1 at the root)."""
-    cache_key = (id(node), _restrict(obs, ctx.covered[id(node)]))
-    hit = ctx.matrix_cache.get(cache_key)
-    if hit is not None:
-        return hit
-
-    payload = node.payload
-    child_mats = [
-        (link.attach, _node_matrix(link.node, obs, ctx)) for link in node.children
-    ]
-    if isinstance(payload, QuantumTensor):
-        factors = _local_factors(node, ctx, obs)
-        if not node.children and ctx.strategy != "direct":
-            term = PauliTerm(1.0, factors)
+    def _quantum(self, i, obs, factors, kids, bra_open, ket_open) -> np.ndarray:
+        payload = self.ket_nodes[i].payload
+        if not kids and obs is not None and self.strategy != "direct":
             raw = branch_matrix_raw(
                 payload,
-                term,
-                ctx.strategy,
-                ctx.shots,
-                ctx.seed_stream.next_u64() >> 1,
+                PauliTerm(1.0, factors),
+                self.strategy,
+                self.shots,
+                self.seed_stream.next_u64() >> 1,
             )
+            return raw[None, None]
+        bra = self._stack(self.bra_stacks, self.bra_nodes, i)
+        ket = self._stack(self.ket_stacks, self.ket_nodes, i)
+        rows_b = slice(None) if bra_open else slice(1)
+        rows_k = slice(None) if ket_open else slice(1)
+        if not kids:
+            return self._leaf(i, obs, factors, bra, ket, rows_b, rows_k)
+        for _, mat in kids:
+            if mat.shape[2:] != (2, 2):
+                raise ValueError("child branch index must be binary")
+        plain = [mat.shape[:2] == (1, 1) for _, mat in kids]  # no open rows below
+        n = payload.num_qubits
+        if not (bra_open or ket_open or factors) and 4 ** len(kids) <= _REDUCTION_MAX:
+            # the base states' reduction on every child qubit is shared by
+            # all observables and open nodes; plain children go in first
+            d = self.reductions.get(i)
+            if d is None:
+                d = self.reductions[i] = _reduce(
+                    bra[:1], ket[:1], [q for q, _ in kids], n, False
+                )
+            order = sorted(range(len(kids)), key=lambda c: not plain[c])
         else:
-            states = _family_states(ctx, node)
-            n = payload.num_qubits
-            ket = states
+            bra, ket = bra[rows_b], ket[rows_k]
             for qubit, letter in factors:
                 ket = _apply_1q(ket, PAULI_MATRICES[letter], qubit, n)
-            for qubit, mat in child_mats:
-                if mat.shape != (2, 2):
-                    raise ValueError("child branch index must be binary")
-                ket = _apply_1q(ket, mat, qubit, n)
-            raw = np.einsum("ax,bx->ab", states.conj(), ket)
-        ctx.counters.quantum_evals += 1
-    else:
-        ops: list = [None] * payload.num_sites
-        factors = _local_factors(node, ctx, obs)
+            for (qubit, mat), is_plain in zip(kids, plain):
+                if is_plain:
+                    ket = _apply_1q(ket, mat[0, 0], qubit, n)
+            kids = [kid for kid, is_plain in zip(kids, plain) if not is_plain]
+            paired = obs is not None and bra_open and ket_open
+            d = _reduce(bra, ket, [q for q, _ in kids], n, paired)
+            order = list(range(len(kids)))
+        # absorb the children in order, one GEMM each: their bits go last
+        labels, q = d.shape[2:4], len(kids)
+        d = d.transpose([0, 1, 2, 3] + [4 + j for c in order[::-1] for j in (c, q + c)])
+        for c in order:
+            mat = kids[c][1]
+            d = d.reshape(d.shape[:2] + (-1, 4))
+            d = _absorb(d, mat.reshape(mat.shape[:2] + (4,)))
+        return d.reshape(d.shape[:2] + labels)
+
+    def _leaf(self, i, obs, factors, bra, ket, rows_b, rows_k) -> np.ndarray:
+        """Slices of the leaf's Gram block or of its local-word blocks."""
+        if obs is None:
+            gram = self.grams.get(i)
+            if gram is None:
+                (a, l, dim), (b, m, _) = bra.shape, ket.shape
+                g = bra.reshape(a * l, dim).conj() @ ket.reshape(b * m, dim).T
+                gram = g.reshape(a, l, b, m).transpose(0, 2, 1, 3)
+                gram = self.grams[i] = np.ascontiguousarray(gram)
+            return gram[rows_b, rows_k]
+        if rows_b != rows_k:
+            raise ValueError("an observable needs its node open on both sides")
+        table = self.tables.get(i)
+        if table is None:
+            entry = self.words.get(i)
+            if entry is None:
+                words = sorted({self._local_factors(i, f) for _, f in self.factors})
+                n = self.ket_nodes[i].payload.num_qubits
+                entry = self.words[i] = (
+                    {word: col for col, word in enumerate(words)},
+                    _compile_words(words, n),
+                )
+            table = self.tables[i] = (entry[0], _obs_blocks(ket, entry[1], bra))
+        col_of, blocks = table
+        return blocks[col_of[factors], rows_b, None]
+
+    def _mps(self, i, factors, kids) -> np.ndarray:
+        bra, ket = self.bra_nodes[i].payload, self.ket_nodes[i].payload
+        ops: list = [None] * ket.num_sites
         for site, letter in factors:
             ops[site] = PAULI_MATRICES[letter]
-        for site, mat in child_mats:
+        for site, mat in kids:
             ops[site] = mat
-        if node.role == "root":
-            raw = np.array([[mps_general_expectation(payload, payload, ops)]])
+        if self.ket_nodes[i].role == "root":
+            out = np.asarray(mps_general_expectation(bra, ket, ops))[..., None, None]
         else:
-            raw = mps_open_site_matrix(payload, payload, 0, ops)
-        ctx.counters.classical_evals += 1
-    ctx.matrix_cache[cache_key] = raw
-    return raw
-
-
-def _make_context(tree, strategy, shots, seed, counters) -> _EvalContext:
-    ctx = _EvalContext(
-        strategy=strategy,
-        shots=shots,
-        seed_stream=SplitMix64(seed),
-        counters=counters if counters is not None else EvalCounters(),
-    )
-    _assign_subsystems(tree, ctx)
-    return ctx
+            out = mps_open_site_matrix(bra, ket, 0, ops)
+        return out.reshape((1,) * (4 - out.ndim) + out.shape)
 
 
 def tree_expectation(
@@ -281,11 +477,8 @@ def tree_expectation(
     counters: EvalCounters | None = None,
 ) -> float:
     """<psi~| O_1 (x) ... (x) O_k |psi~> by bottom-up branch measurement."""
-    if len(obs.factors) != tree.layout.num_subsystems:
-        raise ValueError("observable factor count does not match the layout")
-    ctx = _make_context(tree, strategy, shots, seed, counters)
-    value = _node_matrix(tree.root, obs, ctx)[0, 0]
-    return float(np.real(value))
+    terms = ((1.0, obs.factors),)
+    return _Pass(tree, tree, terms, counters, strategy, shots, seed).term_sum().real
 
 
 def tree_energy(
@@ -298,57 +491,14 @@ def tree_energy(
 ) -> float:
     """Energy as the decomposed-term sum, sharing one branch-matrix cache."""
     factors = decompose_for_layout(h, tree.layout)
-    ctx = _make_context(tree, strategy, shots, seed, counters)
-    total = 0.0
-    for coeff, locals_ in factors:
-        obs = ProductObservable(locals_)
-        total += coeff * float(np.real(_node_matrix(tree.root, obs, ctx)[0, 0]))
-    return total
-
-
-def _overlap_matrix(na: TreeNode, nb: TreeNode, obs, ctx_a, ctx_b) -> np.ndarray:
-    """<bra node a | O | ket node b> matrix over the shared upward index.
-
-    ``obs`` may be None (plain overlap) or a ProductObservable whose local
-    factors act on the ket-side physical qubits.
-    """
-    pa, pb = na.payload, nb.payload
-    if type(pa) is not type(pb) or len(na.children) != len(nb.children):
-        raise ValueError("overlap requires structurally identical trees")
-    child_mats = [
-        (la.attach, _overlap_matrix(la.node, lb.node, obs, ctx_a, ctx_b))
-        for la, lb in zip(na.children, nb.children)
-    ]
-    factors = _local_factors(nb, ctx_b, obs) if obs is not None else ()
-    if isinstance(pa, QuantumTensor):
-        bra = _family_states(ctx_a, na)
-        ket = _family_states(ctx_b, nb)
-        n = pa.num_qubits
-        for qubit, letter in factors:
-            ket = _apply_1q(ket, PAULI_MATRICES[letter], qubit, n)
-        for qubit, mat in child_mats:
-            ket = _apply_1q(ket, mat, qubit, n)
-        ctx_a.counters.quantum_evals += 1
-        return np.einsum("ax,bx->ab", bra.conj(), ket)
-    ops: list = [None] * pa.num_sites
-    for site, letter in factors:
-        ops[site] = PAULI_MATRICES[letter]
-    for site, mat in child_mats:
-        ops[site] = mat
-    ctx_a.counters.classical_evals += 1
-    if na.role == "root":
-        return np.array([[mps_general_expectation(pa, pb, ops)]])
-    return mps_open_site_matrix(pa, pb, 0, ops)
+    return _Pass(tree, tree, factors, counters, strategy, shots, seed).term_sum().real
 
 
 def tree_overlap(
     a: HybridTree, b: HybridTree, counters: EvalCounters | None = None
 ) -> complex:
     """<psi~_a | psi~_b> for structurally identical trees."""
-    shared = counters if counters is not None else EvalCounters()
-    ctx_a = _make_context(a, "direct", 0, 0, shared)
-    ctx_b = _make_context(b, "direct", 0, 0, shared)
-    return complex(_overlap_matrix(a.root, b.root, None, ctx_a, ctx_b)[0, 0])
+    return complex(_Pass(a, b, (), counters).block(0, None)[0, 0, 0, 0])
 
 
 def tree_transition(
@@ -358,12 +508,7 @@ def tree_transition(
     counters: EvalCounters | None = None,
 ) -> complex:
     """<psi~_a | O_1 (x) ... (x) O_k | psi~_b> between two trees."""
-    if len(obs.factors) != b.layout.num_subsystems:
-        raise ValueError("observable factor count does not match the layout")
-    shared = counters if counters is not None else EvalCounters()
-    ctx_a = _make_context(a, "direct", 0, 0, shared)
-    ctx_b = _make_context(b, "direct", 0, 0, shared)
-    return complex(_overlap_matrix(a.root, b.root, obs, ctx_a, ctx_b)[0, 0])
+    return _Pass(a, b, ((1.0, obs.factors),), counters).term_sum()
 
 
 def tree_transition_energy(
@@ -371,15 +516,7 @@ def tree_transition_energy(
     counters: EvalCounters | None = None,
 ) -> complex:
     """<psi~_a | H | psi~_b> as a decomposed-term sum."""
-    factors = decompose_for_layout(h, b.layout)
-    shared = counters if counters is not None else EvalCounters()
-    ctx_a = _make_context(a, "direct", 0, 0, shared)
-    ctx_b = _make_context(b, "direct", 0, 0, shared)
-    total = 0.0 + 0.0j
-    for coeff, locals_ in factors:
-        obs = ProductObservable(locals_)
-        total += coeff * _overlap_matrix(a.root, b.root, obs, ctx_a, ctx_b)[0, 0]
-    return complex(total)
+    return _Pass(a, b, decompose_for_layout(h, b.layout), counters).term_sum()
 
 
 # ---------------------------------------------------------------------------
@@ -471,25 +608,6 @@ def build_two_layer_cq(root_circuit: Circuit, branch_mps, params) -> HybridTree:
     root = TreeNode(root_payload, tuple(links), "root")
     layout = _layout_for_sizes(tuple(m.num_sites - 1 for m in branch_mps))
     return HybridTree(root, layout, depth=2, degree=k)
-
-
-def is_two_layer_qq(tree: HybridTree) -> bool:
-    root = tree.root
-    if not isinstance(root.payload, QuantumTensor):
-        return False
-    if root.payload.num_labels_classical() != 1:
-        return False
-    if len(root.children) != root.payload.num_qubits:
-        return False
-    for s, link in enumerate(root.children):
-        node = link.node
-        if link.attach != s or link.case != 4 or node.children:
-            return False
-        if not isinstance(node.payload, QuantumTensor):
-            return False
-        if node.payload.num_labels_classical() != 2:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ def test_config_fills_documented_defaults():
     assert config.out is None
     assert config.ite.reg == 1e-6
     assert config.ite.seed == 0
-    assert config.ite.shots == 0
+    assert not hasattr(config.ite, "shots")  # shots live at the top level only
 
 
 def test_config_rejects_unknown_keys_at_every_level():
@@ -118,7 +118,7 @@ def test_config_lambda_forms():
 def test_config_rejects_shots_under_direct_evaluation(tmp_path, capsys):
     with pytest.raises(ConfigError, match="direct strategy"):
         config_from_dict(minimal_config(shots=1000))
-    assert config_from_dict(minimal_config(shots=0)).ite.shots == 0
+    assert config_from_dict(minimal_config(shots=0)).shots == 0
     config_path = write_config(tmp_path, minimal_config(shots=1000))
     code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG

@@ -1,6 +1,7 @@
 """Imaginary-time flow: difference stencils, step control, and subspace mixing."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +14,6 @@ from hybridtn.ite import (
     IteConfig,
     IteState,
     TreeProblem,
-    _compile_words,
-    _obs_blocks,
     _perturbed_stack,
     expand_in_subspace,
     flow_direction,
@@ -28,7 +27,7 @@ from hybridtn.ite import (
     subspace_matrices,
 )
 from hybridtn.oracles import dense_tree_state, exact_ground_energy, hamiltonian_matrix
-from hybridtn.pauli import Hamiltonian, PauliTerm
+from hybridtn.pauli import Hamiltonian, PauliTerm, build_1d_cluster
 from hybridtn.statevector import (
     Circuit,
     GateOp,
@@ -37,8 +36,18 @@ from hybridtn.statevector import (
     build_hardware_efficient_ansatz,
     circuit_from_json,
 )
-from hybridtn.tensors import QuantumTensor
-from hybridtn.tree import tree_energy, tree_overlap
+from hybridtn.tensors import QuantumTensor, random_mps
+from hybridtn.tree import (
+    ChildLink,
+    TreeNode,
+    _compile_words,
+    _obs_blocks,
+    build_two_layer_cq,
+    build_two_layer_qc,
+    build_two_layer_qq,
+    tree_energy,
+    tree_overlap,
+)
 from hybridtn.verify import random_circuit, random_qq_tree, tree_to_dense_spec
 
 
@@ -348,7 +357,7 @@ def test_config_rejects_bad_values_and_keeps_defaults():
     assert config.conv_window == 10
     assert config.max_iters == 2000
     assert config.max_retries == 8
-    assert config.shots == 0
+    assert not hasattr(config, "shots")
     assert config.init_scale == 0.1
 
 
@@ -376,63 +385,33 @@ def test_initial_parameters_are_seeded_and_bounded():
 
 
 # ---------------------------------------------------------------------------
-# batched stencil for two-layer trees vs. pointwise evaluation
+# batched stencil vs. pointwise evaluation
 
-def _stencil_tree():
+TREE_KINDS = ("qq", "qc", "cq")
+
+
+def _stencil_tree(kind: str = "qq"):
     rng = np.random.default_rng(70)
-    return random_qq_tree(rng, 2, 2, 1, 1)
+    if kind == "qq":
+        return random_qq_tree(rng, 2, 2, 1, 1)
+    branches = [build_hardware_efficient_ansatz(2, 1) for _ in range(2)]
+    if kind == "qc":
+        params = rng.uniform(-np.pi, np.pi, sum(b.num_params for b in branches))
+        return build_two_layer_qc(random_mps(2, chi=2, seed=71), branches, params)
+    root = build_hardware_efficient_ansatz(2, 1)
+    mps = [random_mps(3, chi=2, seed=72 + s) for s in range(2)]
+    return build_two_layer_cq(root, mps, rng.uniform(-np.pi, np.pi, root.num_params))
 
 
-def test_fast_stencil_only_for_exact_direct_evaluation():
-    tree = _stencil_tree()
-    h = crossing_hamiltonian()
-    assert hasattr(TreeProblem(tree, h), "overlap_fd_matrix")
-    assert hasattr(TreeProblem(tree, h), "energies_fd")
-    assert not hasattr(TreeProblem(tree, h, strategy="hadamard_test"), "energies_fd")
-    assert not hasattr(TreeProblem(tree, h, shots=256), "overlap_fd_matrix")
+def _with_distinct_branch(tree, circuits, params):
+    """The tree with branch 0 replaced by a distinct-unitaries payload."""
+    link = tree.root.children[0]
+    branch = TreeNode(QuantumTensor.distinct(circuits, params), (), "branch")
+    children = (ChildLink(link.attach, link.case, branch),) + tree.root.children[1:]
+    return replace(tree, root=TreeNode(tree.root.payload, children, "root"))
 
 
-def test_fast_stencil_overlaps_match_pointwise_tree_overlaps():
-    tree = _stencil_tree()
-    problem = TreeProblem(tree, crossing_hamiltonian())
-    params = tree.flat_params()
-    delta = 1e-3
-    s_mat, s_vec, n0 = problem.overlap_fd_matrix(params, delta)
-
-    base = tree.with_params(params)
-    shifted = []
-    for i in range(tree.num_params):
-        bumped = params.copy()
-        bumped[i] += delta
-        shifted.append(tree.with_params(bumped))
-    assert n0 == pytest.approx(tree_overlap(base, base), abs=1e-11)
-    for i, tree_i in enumerate(shifted):
-        assert s_vec[i] == pytest.approx(tree_overlap(base, tree_i), abs=1e-11)
-        for j, tree_j in enumerate(shifted):
-            assert s_mat[i, j] == pytest.approx(
-                tree_overlap(tree_i, tree_j), abs=1e-11
-            )
-
-
-def test_fast_stencil_energies_match_pointwise_tree_energies():
-    tree = _stencil_tree()
-    h = crossing_hamiltonian()
-    problem = TreeProblem(tree, h)
-    params = tree.flat_params()
-    delta = 1e-3
-    e0, evec = problem.energies_fd(params, delta)
-    assert e0 == pytest.approx(tree_energy(tree.with_params(params), h), abs=1e-10)
-    for i in range(tree.num_params):
-        bumped = params.copy()
-        bumped[i] += delta
-        assert evec[i] == pytest.approx(
-            tree_energy(tree.with_params(bumped), h), abs=1e-10
-        )
-
-
-def test_fast_and_generic_routes_agree_on_metric_and_gradient():
-    tree = _stencil_tree()
-    h = crossing_hamiltonian()
+def _assert_routes_agree(tree, h):
     fast = TreeProblem(tree, h)
     generic = TreeProblem(tree, h)
     del generic.overlap_fd_matrix
@@ -445,6 +424,113 @@ def test_fast_and_generic_routes_agree_on_metric_and_gradient():
     assert np.allclose(
         gradient_c(fast, params, 1e-3), gradient_c(generic, params, 1e-3), atol=1e-9
     )
+
+
+def test_fast_stencil_only_for_exact_direct_evaluation():
+    # every tree shape gets the stencil; only sampled evaluation does not
+    h = crossing_hamiltonian()
+    for kind in TREE_KINDS:
+        tree = _stencil_tree(kind)
+        assert hasattr(TreeProblem(tree, h), "overlap_fd_matrix")
+        assert hasattr(TreeProblem(tree, h), "energies_fd")
+        assert not hasattr(
+            TreeProblem(tree, h, strategy="hadamard_test"), "energies_fd"
+        )
+        assert not hasattr(TreeProblem(tree, h, shots=256), "overlap_fd_matrix")
+
+
+def test_fast_stencil_overlaps_match_pointwise_tree_overlaps():
+    for kind in TREE_KINDS:
+        tree = _stencil_tree(kind)
+        problem = TreeProblem(tree, crossing_hamiltonian())
+        params = tree.flat_params()
+        delta = 1e-3
+        s_mat, s_vec, n0 = problem.overlap_fd_matrix(params, delta)
+
+        base = tree.with_params(params)
+        shifted = []
+        for i in range(tree.num_params):
+            bumped = params.copy()
+            bumped[i] += delta
+            shifted.append(tree.with_params(bumped))
+        assert n0 == pytest.approx(tree_overlap(base, base), abs=1e-11)
+        for i, tree_i in enumerate(shifted):
+            assert s_vec[i] == pytest.approx(tree_overlap(base, tree_i), abs=1e-11)
+            for j, tree_j in enumerate(shifted):
+                assert s_mat[i, j] == pytest.approx(
+                    tree_overlap(tree_i, tree_j), abs=1e-11
+                )
+
+
+def test_fast_stencil_energies_match_pointwise_tree_energies():
+    h = crossing_hamiltonian()
+    for kind in TREE_KINDS:
+        tree = _stencil_tree(kind)
+        problem = TreeProblem(tree, h)
+        params = tree.flat_params()
+        delta = 1e-3
+        e0, evec = problem.energies_fd(params, delta)
+        assert e0 == pytest.approx(
+            tree_energy(tree.with_params(params), h), abs=1e-10
+        )
+        for i in range(tree.num_params):
+            bumped = params.copy()
+            bumped[i] += delta
+            assert evec[i] == pytest.approx(
+                tree_energy(tree.with_params(bumped), h), abs=1e-10
+            )
+
+
+def test_fast_and_generic_routes_agree_on_metric_and_gradient():
+    _assert_routes_agree(_stencil_tree(), crossing_hamiltonian())
+    # seven branches: more than the root keeps its base reduction for
+    wide = random_qq_tree(np.random.default_rng(74), 7, 1, 1, 1)
+    _assert_routes_agree(wide, build_1d_cluster(1, 7, lam=0.8, seed=13)[0])
+
+
+def test_fast_stencil_handles_distinct_unitaries_branches():
+    # each circuit of a distinct-unitaries payload gets its own perturbed
+    # rows, which perturb only its own label; one circuit may have no slots
+    rng = np.random.default_rng(73)
+    tree = random_qq_tree(rng, 2, 2, 1, 1)
+    h = crossing_hamiltonian()
+    (c1, p1), (c2, p2) = random_circuit(rng, 2, 2), random_circuit(rng, 2, 2)
+    _assert_routes_agree(_with_distinct_branch(tree, (c1, c2), (p1, p2)), h)
+    fixed = Circuit(2, (GateOp("H", (0,)), GateOp("CNOT", (0, 1))), 0)
+    _assert_routes_agree(_with_distinct_branch(tree, (c1, fixed), (p1, ())), h)
+
+
+@st.composite
+def two_layer_trees(draw):
+    """Random qq, qc or cq tree (k 2-3, n 1-3) and a Hamiltonian on it."""
+    kind = draw(st.sampled_from(TREE_KINDS))
+    k, n = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seed = int(rng.integers(2**31))
+    branches = [random_circuit(rng, n, 1)[0] for _ in range(k)]
+    root = random_circuit(rng, k, 1)[0]
+    if kind == "qq":
+        num = root.num_params + sum(b.num_params for b in branches)
+        tree = build_two_layer_qq(root, branches, rng.uniform(-np.pi, np.pi, num))
+    elif kind == "qc":
+        num = sum(b.num_params for b in branches)
+        mps = random_mps(k, chi=2, seed=seed)
+        tree = build_two_layer_qc(mps, branches, rng.uniform(-np.pi, np.pi, num))
+    else:
+        mps = [random_mps(n + 1, chi=2, seed=seed + s) for s in range(k)]
+        params = rng.uniform(-np.pi, np.pi, root.num_params)
+        tree = build_two_layer_cq(root, mps, params)
+    terms = []
+    for _ in range(4):
+        qubits = rng.permutation(n * k)[: int(rng.integers(1, 4))]
+        factors = tuple(sorted((int(q), str(rng.choice(list("XYZ")))) for q in qubits))
+        terms.append(PauliTerm(float(rng.uniform(-1, 1)), factors))
+    return tree, Hamiltonian(n * k, tuple(terms))
+
+
+@given(two_layer_trees())
+def test_fast_stencil_matches_pointwise_route_on_random_trees(tree_and_h):
+    _assert_routes_agree(*tree_and_h)
 
 
 # Slot 3 drives two gates, slots first appear in the order 3, 1, 0, 4, and

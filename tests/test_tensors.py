@@ -23,6 +23,7 @@ from hybridtn.tensors import (
     measure_branch_observable,
     mps_expectation,
     mps_from_product,
+    mps_general_expectation,
     mps_open_site_matrix,
     project_group,
     random_mps,
@@ -290,6 +291,28 @@ def test_mps_open_site_matrix_matches_dense():
     got = mps_open_site_matrix(m, m, 0, [None, z, None])
     want = np.einsum("pbc,by,qyc->pq", coeffs.conj(), z, coeffs)
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_mps_transfers_broadcast_batched_operators():
+    rng = np.random.default_rng(42)
+    bra, ket = random_mps(4, chi=2, seed=43), random_mps(4, chi=3, seed=44)
+
+    def ops_batch(shape):
+        return rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+
+    # batch axes (3, 1) and (1, 4) on two sites broadcast to (3, 4)
+    a, b, z = ops_batch((3, 1)), ops_batch((1, 4)), np.diag([1.0, -1.0])
+    got = mps_general_expectation(bra, ket, [a, None, b, z])
+    open_got = mps_open_site_matrix(bra, ket, 1, [a, None, b, z])
+    assert got.shape == (3, 4) and open_got.shape == (3, 4, 2, 2)
+    for i in range(3):
+        for j in range(4):
+            ops = [a[i, 0], None, b[0, j], z]
+            want = mps_general_expectation(bra, ket, ops)
+            assert got[i, j] == pytest.approx(want, abs=1e-12)
+            np.testing.assert_allclose(
+                open_got[i, j], mps_open_site_matrix(bra, ket, 1, ops), atol=1e-12
+            )
 
 
 def test_mps_from_product():

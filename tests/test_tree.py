@@ -72,7 +72,9 @@ def test_identity_expectation_and_eval_count():
 
 def test_energy_matches_dense_both_models():
     rng = np.random.default_rng(52)
-    for builder, n, k in ((build_1d_cluster, 2, 2), (build_2d_web, 2, 3)):
+    # seven branches: more than the root keeps its base reduction for
+    cases = ((build_1d_cluster, 2, 2), (build_2d_web, 2, 3), (build_1d_cluster, 1, 7))
+    for builder, n, k in cases:
         h, _ = builder(n, k, lam=0.8, seed=13)
         tree = random_qq_tree(rng, k, n)
         psi = dense_tree_state(tree_to_dense_spec(tree))
