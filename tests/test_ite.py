@@ -39,7 +39,9 @@ from hybridtn.statevector import (
 from hybridtn.tensors import QuantumTensor, random_mps
 from hybridtn.tree import (
     ChildLink,
+    HybridTree,
     TreeNode,
+    _layout_for_sizes,
     _compile_words,
     _obs_blocks,
     build_two_layer_cq,
@@ -481,11 +483,31 @@ def test_fast_stencil_energies_match_pointwise_tree_energies():
             )
 
 
+def _three_layer_tree(rng):
+    """Quantum root over two-label quantum nodes with physical qubits and a leaf."""
+
+    def payload(n, bits):
+        circuit = build_hardware_efficient_ansatz(n, 1)
+        params = rng.uniform(-np.pi, np.pi, circuit.num_params)
+        return QuantumTensor.shared(circuit, bits, params)
+
+    links = []
+    for s in range(2):
+        leaf = TreeNode(payload(2, ("00", "11")), (), "branch")
+        mid = TreeNode(payload(3, ("000", "111")), (ChildLink(0, 4, leaf),), "branch")
+        links.append(ChildLink(s, 4, mid))
+    root = TreeNode(payload(2, ("00",)), tuple(links), "root")
+    return HybridTree(root, _layout_for_sizes((2, 2, 2, 2)), depth=3, degree=2)
+
+
 def test_fast_and_generic_routes_agree_on_metric_and_gradient():
     _assert_routes_agree(_stencil_tree(), crossing_hamiltonian())
     # seven branches: more than the root keeps its base reduction for
     wide = random_qq_tree(np.random.default_rng(74), 7, 1, 1, 1)
     _assert_routes_agree(wide, build_1d_cluster(1, 7, lam=0.8, seed=13)[0])
+    # open rows below and inside two-label nodes that have physical qubits
+    deep = _three_layer_tree(np.random.default_rng(75))
+    _assert_routes_agree(deep, build_1d_cluster(2, 4, lam=0.8, seed=14)[0])
 
 
 def test_fast_stencil_handles_distinct_unitaries_branches():
