@@ -6,7 +6,7 @@ Verbs:
   exact   diagonalize the model and write the ground energy plus per-term
           Pauli expectations
   verify  execute the built-in property-check suite and print a report
-  sweep   run one job per coupling value in parallel, one subdirectory each
+  sweep   run one job per coupling value, in order, one subdirectory each
 
 Configs are JSON with an explicit ``versions`` stanza; unknown keys are
 rejected so physics parameters cannot be silently misspelled.  Every
@@ -69,8 +69,12 @@ class ExperimentConfig:
     d_v: int
     ite: IteConfig
     shots: int
-    seed: int
     out: str | None
+
+    @property
+    def seed(self) -> int:
+        """The one seed: couplings and the flow's initial point both use it."""
+        return self.ite.seed
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +214,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         d_v=d_v,
         ite=ite,
         shots=shots,
-        seed=seed,
         out=out,
     )
 
@@ -228,8 +231,7 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def with_seed(config: ExperimentConfig, seed: int) -> ExperimentConfig:
-    ite = dataclasses.replace(config.ite, seed=seed)
-    return dataclasses.replace(config, seed=seed, ite=ite)
+    return dataclasses.replace(config, ite=dataclasses.replace(config.ite, seed=seed))
 
 
 def effective_config_dict(config: ExperimentConfig, lam) -> dict:

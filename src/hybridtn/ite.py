@@ -19,12 +19,12 @@ A *problem* is anything with ``num_params``, ``energy(params)`` and
 ``overlap(pa, pb) = <psi(pa)|psi(pb)>``.  Problems may additionally
 provide ``overlap_fd_matrix(params, delta) -> (S, s, n0)`` and
 ``energies_fd(params, delta) -> (e0, evec)`` to service the whole
-finite-difference stencil in one batched pass; :class:`TreeProblem`
-does so for every tree evaluated exactly.  All perturbed states of one
-circuit are simulated together in a single sweep (each rotation gate obeys
-G(t + d) = G(d) G(t), so a perturbed row is the shared sweep plus one
-extra fixed-angle gate; a row joins the sweep at its slot's first gate,
-as a copy of the base row).  A perturbed state differs from the base in
+finite-difference stencil in one batched pass; :class:`TreeProblem`,
+which evaluates every tree exactly, always does so.  All perturbed
+states of one circuit are simulated together in a single sweep (each
+rotation gate obeys G(t + d) = G(d) G(t), so a perturbed row is the
+shared sweep plus one extra fixed-angle gate; a row joins the sweep at
+its slot's first gate, as a copy of the base row).  A perturbed state differs from the base in
 one node, so the tree contraction of :mod:`hybridtn.tree` with that node
 open yields a whole block of the stencil: one contraction per unordered
 node pair gives the overlaps (the reversed pair is its conjugate
@@ -330,26 +330,16 @@ def _payload_stack(payload: QuantumTensor, delta: float) -> np.ndarray:
 class TreeProblem:
     """Ground-state search problem over a hybrid tree ansatz.
 
-    Exact evaluation (the direct strategy without shots) gets the batched
-    finite-difference stencil for every tree; sampled evaluation falls back
-    to per-point tree evaluations.
+    Energies and overlaps are exact contractions of the tree's state
+    vectors (no sampling), and the flow gets the batched finite-difference
+    stencil for every tree shape: qq, qc, cq and deeper.
     """
 
-    def __init__(
-        self,
-        tree: HybridTree,
-        h: Hamiltonian,
-        strategy: str = "direct",
-        shots: int = 0,
-        seed: int = 0,
-    ):
+    def __init__(self, tree: HybridTree, h: Hamiltonian):
         if h.num_qubits != tree.layout.num_qubits:
             raise ValueError("Hamiltonian register does not match the tree layout")
         self.tree = tree
         self.h = h
-        self.strategy = strategy
-        self.shots = shots
-        self.seed = seed
         self.factors = decompose_for_layout(h, tree.layout)
         self._words: dict = {}  # compiled local words per quantum leaf
         self._energy_cache: dict[bytes, float] = {}
@@ -366,29 +356,23 @@ class TreeProblem:
             for i, (start, stop) in zip(quantum, tree.param_slices())
             if stop > start
         ]
-        if strategy == "direct" and shots == 0:
-            # the driver dispatches on attribute presence
-            self.overlap_fd_matrix = self._overlap_fd_matrix
-            self.energies_fd = self._energies_fd
+        # the driver dispatches on attribute presence
+        self.overlap_fd_matrix = self._overlap_fd_matrix
+        self.energies_fd = self._energies_fd
 
     @property
     def num_params(self) -> int:
         return self.tree.num_params
 
-    def _pass(self, tree: HybridTree, seed: int = 0, stacks=None) -> _Pass:
-        return _Pass(
-            tree, tree, self.factors, strategy=self.strategy, shots=self.shots,
-            seed=seed, words=self._words, stacks=stacks,
-        )
+    def _pass(self, tree: HybridTree, stacks=None) -> _Pass:
+        return _Pass(tree, tree, self.factors, words=self._words, stacks=stacks)
 
     def energy(self, params) -> float:
         params = np.asarray(params, dtype=float)
         key = params.tobytes()
         hit = self._energy_cache.get(key)
         if hit is None:
-            run = self._pass(
-                self.tree.with_params(params), seed=self.seed + len(self._energy_cache)
-            )
+            run = self._pass(self.tree.with_params(params))
             hit = self._energy_cache[key] = run.term_sum().real
         return hit
 
@@ -456,12 +440,10 @@ def run_ite_tree(
     tree: HybridTree,
     h: Hamiltonian,
     config: IteConfig = IteConfig(),
-    strategy: str = "direct",
-    shots: int = 0,
     init_params=None,
 ) -> tuple[IteResult, HybridTree]:
     """Ground-state search over a tree ansatz; returns the optimized tree."""
-    problem = TreeProblem(tree, h, strategy=strategy, shots=shots, seed=config.seed)
+    problem = TreeProblem(tree, h)
     result = run_ite(problem, config, init_params)
     return result, tree.with_params(result.params)
 

@@ -139,7 +139,7 @@ def _lanczos_ground(h: Hamiltonian, seed: int) -> tuple[float, np.ndarray]:
     raise OracleLimitError("Lanczos failed to converge within the restart budget")
 
 
-def exact_ground_energy(h: Hamiltonian, seed: int = 7) -> tuple[float, StateVector]:
+def exact_ground_energy(h: Hamiltonian) -> tuple[float, StateVector]:
     """Ground energy and state: dense eigh up to 10 qubits, Lanczos to 20.
 
     Above ``DENSE_LIMIT`` no matrix is built: Lanczos runs on the
@@ -151,7 +151,7 @@ def exact_ground_energy(h: Hamiltonian, seed: int = 7) -> tuple[float, StateVect
         evals, evecs = scipy.linalg.eigh(matrix, subset_by_index=[0, 0])
         return float(evals[0]), StateVector(n, evecs[:, 0].astype(complex))
     if n <= ITERATIVE_LIMIT:
-        energy, vec = _lanczos_ground(h, seed)
+        energy, vec = _lanczos_ground(h, seed=7)
         return energy, StateVector(n, vec)
     raise OracleLimitError(
         f"exact diagonalization limited to {ITERATIVE_LIMIT} qubits, got {n}"

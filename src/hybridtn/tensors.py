@@ -24,7 +24,7 @@ realization rule (psi / phi are family states, alpha a classical array):
 
 Case 5 is a Bell-pair projection: the result is unnormalised and the
 network tracks its squared norm explicitly; each network admits at most
-``case5_budget`` such edges (default 2).
+``CASE5_BUDGET`` (2) such edges.
 
 Branch observables M^{i',i} = <psi^{i'}| O_1 (x) ... (x) O_n |psi^i> can be
 measured four ways (``direct``, ``hadamard_test``, ``superposition_input``,
@@ -34,7 +34,6 @@ precision.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -348,17 +347,15 @@ class Edge:
     dimension: int
 
 
-def _index_table(tensor) -> dict[str, TensorIndex]:
-    return tensor.indices()
+CASE5_BUDGET = 2  # case-5 (Bell-pair projection) edges one network admits
 
 
 class HybridNetwork:
     """Nodes plus typed edges; enforces case typing and the case-5 budget."""
 
-    def __init__(self, case5_budget: int = 2):
+    def __init__(self):
         self.nodes: dict[str, object] = {}
         self.edges: list[Edge] = []
-        self.case5_budget = case5_budget
 
     def add(self, name: str, tensor) -> "HybridNetwork":
         if name in self.nodes:
@@ -372,7 +369,7 @@ class HybridNetwork:
         node, label = endpoint
         if node not in self.nodes:
             raise ValueError(f"unknown node {node!r}")
-        table = _index_table(self.nodes[node])
+        table = self.nodes[node].indices()
         if label not in table:
             raise ValueError(f"node {node!r} has no index {label!r}")
         return table[label]
@@ -415,9 +412,9 @@ class HybridNetwork:
             )
         if case == 5:
             have = sum(1 for e in self.edges if e.case == 5)
-            if have >= self.case5_budget:
+            if have >= CASE5_BUDGET:
                 raise Case5BudgetError(
-                    f"case-5 budget of {self.case5_budget} edges exhausted"
+                    f"case-5 budget of {CASE5_BUDGET} edges exhausted"
                 )
         edge = Edge(case, ea, eb, idx_a.dimension)
         self.edges.append(edge)
@@ -432,28 +429,6 @@ class HybridNetwork:
         edge = self.edges[0]
         ta, tb = self.nodes[edge.a.node], self.nodes[edge.b.node]
         return realize_case(edge.case, ta, edge.a.index, tb, edge.b.index)
-
-    def to_json(self) -> str:
-        nodes = {}
-        for name, tensor in self.nodes.items():
-            table = _index_table(tensor)
-            nodes[name] = {
-                "type": type(tensor).__name__,
-                "indices": {
-                    label: {"dimension": ix.dimension, "kind": ix.kind}
-                    for label, ix in table.items()
-                },
-            }
-        edges = [
-            {
-                "case": e.case,
-                "a": [e.a.node, e.a.index],
-                "b": [e.b.node, e.b.index],
-                "dimension": e.dimension,
-            }
-            for e in self.edges
-        ]
-        return json.dumps({"nodes": nodes, "edges": edges}, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -826,24 +801,19 @@ def mps_open_site_matrix(
     return np.einsum("...ac,apb,cqd,...bd->...pq", left, cb.conj(), ck, right)
 
 
-def random_mps(
-    num_sites: int, chi: int, seed: int, phys_dim: int = 2, normalize: bool = True
-) -> MpsTensor:
-    """Gaussian random MPS, optionally scaled to unit norm."""
+def random_mps(num_sites: int, chi: int, seed: int) -> MpsTensor:
+    """Gaussian random MPS over binary sites, scaled to unit norm."""
     rng = np.random.default_rng(seed)
     cores = []
     for site in range(num_sites):
         left = 1 if site == 0 else chi
         right = 1 if site == num_sites - 1 else chi
-        shape = (left, phys_dim, right)
+        shape = (left, 2, right)
         core = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        cores.append(core / math.sqrt(left * phys_dim * right))
+        cores.append(core / math.sqrt(left * 2 * right))
     m = MpsTensor(tuple(cores))
-    if normalize:
-        norm_sq = mps_expectation(m, None).real
-        scaled = (m.cores[0] / math.sqrt(norm_sq),) + m.cores[1:]
-        m = MpsTensor(scaled)
-    return m
+    norm_sq = mps_expectation(m, None).real
+    return MpsTensor((m.cores[0] / math.sqrt(norm_sq),) + m.cores[1:])
 
 
 def mps_from_product(bits: str) -> MpsTensor:

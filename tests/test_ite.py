@@ -429,16 +429,12 @@ def _assert_routes_agree(tree, h):
 
 
 def test_fast_stencil_only_for_exact_direct_evaluation():
-    # every tree shape gets the stencil; only sampled evaluation does not
+    # every tree shape gets the stencil
     h = crossing_hamiltonian()
     for kind in TREE_KINDS:
         tree = _stencil_tree(kind)
         assert hasattr(TreeProblem(tree, h), "overlap_fd_matrix")
         assert hasattr(TreeProblem(tree, h), "energies_fd")
-        assert not hasattr(
-            TreeProblem(tree, h, strategy="hadamard_test"), "energies_fd"
-        )
-        assert not hasattr(TreeProblem(tree, h, shots=256), "overlap_fd_matrix")
 
 
 def test_fast_stencil_overlaps_match_pointwise_tree_overlaps():
@@ -483,21 +479,29 @@ def test_fast_stencil_energies_match_pointwise_tree_energies():
             )
 
 
-def _three_layer_tree(rng):
-    """Quantum root over two-label quantum nodes with physical qubits and a leaf."""
+def _three_layer_tree(
+    rng, n: int = 2, make_circuit=lambda width: build_hardware_efficient_ansatz(width, 1)
+):
+    """Quantum root over two-label quantum nodes with physical qubits and a leaf.
 
-    def payload(n, bits):
-        circuit = build_hardware_efficient_ansatz(n, 1)
+    Each of the four subsystems (two middle nodes, two leaves) has n qubits;
+    ``make_circuit(width)`` builds each node's circuit (default: one
+    hardware-efficient block).
+    """
+
+    def payload(width, bits):
+        circuit = make_circuit(width)
         params = rng.uniform(-np.pi, np.pi, circuit.num_params)
         return QuantumTensor.shared(circuit, bits, params)
 
     links = []
     for s in range(2):
-        leaf = TreeNode(payload(2, ("00", "11")), (), "branch")
-        mid = TreeNode(payload(3, ("000", "111")), (ChildLink(0, 4, leaf),), "branch")
+        leaf = TreeNode(payload(n, ("0" * n, "1" * n)), (), "branch")
+        mid_bits = ("0" * (n + 1), "1" * (n + 1))
+        mid = TreeNode(payload(n + 1, mid_bits), (ChildLink(0, 4, leaf),), "branch")
         links.append(ChildLink(s, 4, mid))
     root = TreeNode(payload(2, ("00",)), tuple(links), "root")
-    return HybridTree(root, _layout_for_sizes((2, 2, 2, 2)), depth=3, degree=2)
+    return HybridTree(root, _layout_for_sizes((n,) * 4), depth=3, degree=2)
 
 
 def test_fast_and_generic_routes_agree_on_metric_and_gradient():
@@ -522,26 +526,41 @@ def test_fast_stencil_handles_distinct_unitaries_branches():
     _assert_routes_agree(_with_distinct_branch(tree, (c1, fixed), (p1, ())), h)
 
 
-@st.composite
-def two_layer_trees(draw):
-    """Random qq, qc or cq tree (k 2-3, n 1-3) and a Hamiltonian on it."""
-    kind = draw(st.sampled_from(TREE_KINDS))
-    k, n = draw(st.integers(2, 3)), draw(st.integers(1, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def _two_layer_tree(rng, kind: str, k: int, n: int):
+    """Random qq, qc or cq tree over k subsystems of n qubits."""
     seed = int(rng.integers(2**31))
     branches = [random_circuit(rng, n, 1)[0] for _ in range(k)]
     root = random_circuit(rng, k, 1)[0]
     if kind == "qq":
         num = root.num_params + sum(b.num_params for b in branches)
-        tree = build_two_layer_qq(root, branches, rng.uniform(-np.pi, np.pi, num))
-    elif kind == "qc":
+        return build_two_layer_qq(root, branches, rng.uniform(-np.pi, np.pi, num))
+    if kind == "qc":
         num = sum(b.num_params for b in branches)
         mps = random_mps(k, chi=2, seed=seed)
-        tree = build_two_layer_qc(mps, branches, rng.uniform(-np.pi, np.pi, num))
+        return build_two_layer_qc(mps, branches, rng.uniform(-np.pi, np.pi, num))
+    mps = [random_mps(n + 1, chi=2, seed=seed + s) for s in range(k)]
+    params = rng.uniform(-np.pi, np.pi, root.num_params)
+    return build_two_layer_cq(root, mps, params)
+
+
+@st.composite
+def stencil_trees(draw):
+    """Random tree and a Hamiltonian on it.
+
+    Two-layer qq, qc or cq trees have k 2-3 subsystems of n 1-3 qubits; the
+    three-layer qq tree has four subsystems of n 1-2 qubits, two of them
+    below a middle node, so the stencil opens rows under a quantum parent.
+    """
+    kind = draw(st.sampled_from(TREE_KINDS + ("qq3",)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "qq3":
+        # two random layers: one is too sparse to break the label symmetry
+        # of the middle nodes' blocks
+        k, n = 4, draw(st.integers(1, 2))
+        tree = _three_layer_tree(rng, n, lambda w: random_circuit(rng, w, 2)[0])
     else:
-        mps = [random_mps(n + 1, chi=2, seed=seed + s) for s in range(k)]
-        params = rng.uniform(-np.pi, np.pi, root.num_params)
-        tree = build_two_layer_cq(root, mps, params)
+        k, n = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+        tree = _two_layer_tree(rng, kind, k, n)
     terms = []
     for _ in range(4):
         qubits = rng.permutation(n * k)[: int(rng.integers(1, 4))]
@@ -550,7 +569,7 @@ def two_layer_trees(draw):
     return tree, Hamiltonian(n * k, tuple(terms))
 
 
-@given(two_layer_trees())
+@given(stencil_trees())
 def test_fast_stencil_matches_pointwise_route_on_random_trees(tree_and_h):
     _assert_routes_agree(*tree_and_h)
 
