@@ -342,18 +342,12 @@ class TreeProblem:
         self.h = h
         self.factors = decompose_for_layout(h, tree.layout)
         self._words: dict = {}  # compiled local words per quantum leaf
-        self._energy_cache: dict[bytes, float] = {}
         self._point: tuple | None = None
         # (pre-order index, parameter slice) of every quantum payload with
         # parameters: the nodes the stencil perturbs
-        quantum = [
-            i
-            for i, node in enumerate(_preorder(tree.root))
-            if isinstance(node.payload, QuantumTensor)
-        ]
         self._open = [
             (i, slice(start, stop))
-            for i, (start, stop) in zip(quantum, tree.param_slices())
+            for i, start, stop in tree.param_slices()
             if stop > start
         ]
         # the driver dispatches on attribute presence
@@ -368,13 +362,7 @@ class TreeProblem:
         return _Pass(tree, tree, self.factors, words=self._words, stacks=stacks)
 
     def energy(self, params) -> float:
-        params = np.asarray(params, dtype=float)
-        key = params.tobytes()
-        hit = self._energy_cache.get(key)
-        if hit is None:
-            run = self._pass(self.tree.with_params(params))
-            hit = self._energy_cache[key] = run.term_sum().real
-        return hit
+        return self._pass(self.tree.with_params(params)).term_sum().real
 
     def overlap(self, pa, pb) -> complex:
         return tree_overlap(
@@ -432,7 +420,6 @@ class TreeProblem:
             e0 += coeff * run.block(0, locals_, first, first)[0, 0, 0, 0].real
             for u, su in self._open:
                 evec[su] += coeff * run.block(0, locals_, u, u)[1:, 0, 0, 0].real
-        self._energy_cache.setdefault(params.tobytes(), float(e0))
         return float(e0), evec
 
 
@@ -451,15 +438,16 @@ def run_ite_tree(
 # ---------------------------------------------------------------------------
 # subspace expansion
 
-def solve_subspace(h_mat, s_mat, cutoff: float = 1e-10):
+def solve_subspace(h_mat, s_mat):
     """Generalized eigenproblem H a = E S a on a possibly degenerate basis.
 
-    Directions of S with eigenvalue below ``cutoff`` are discarded before
+    Directions of S with eigenvalue below 1e-10 are discarded before
     inverting, which makes linearly dependent basis states harmless.  The
     returned eigenvector columns satisfy a^dag S a = identity.
     """
     h_mat = np.asarray(h_mat, dtype=complex)
     s_mat = np.asarray(s_mat, dtype=complex)
+    cutoff = 1e-10
     if h_mat.shape != s_mat.shape or h_mat.ndim != 2:
         raise ValueError("H and S must be square matrices of equal size")
     if not np.allclose(h_mat, h_mat.conj().T, atol=1e-8):
@@ -496,8 +484,8 @@ def subspace_matrices(trees, h: Hamiltonian):
     return h_mat, s_mat
 
 
-def expand_in_subspace(trees, h: Hamiltonian, cutoff: float = 1e-10):
+def expand_in_subspace(trees, h: Hamiltonian):
     """Best energy reachable by mixing the given tree states."""
     h_mat, s_mat = subspace_matrices(trees, h)
-    evals, vecs = solve_subspace(h_mat, s_mat, cutoff=cutoff)
+    evals, vecs = solve_subspace(h_mat, s_mat)
     return float(evals[0]), vecs[:, 0], (h_mat, s_mat)

@@ -23,6 +23,7 @@ factors for tree evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,18 +129,16 @@ class Hamiltonian:
     def __post_init__(self):
         if self.num_qubits < 1:
             raise ValueError("num_qubits must be positive")
-        merged: dict[tuple, float] = {}
+        merged: dict[tuple, list[float]] = {}
         for term in self.terms:
             if term.max_qubit() >= self.num_qubits:
                 raise ValueError(
                     f"term {term.factors} exceeds register of {self.num_qubits} qubits"
                 )
-            merged[term.factors] = merged.get(term.factors, 0.0) + term.coefficient
-        canon = tuple(
-            PauliTerm(coeff, factors)
-            for factors, coeff in sorted(merged.items())
-            if coeff != 0.0
-        )
+            merged.setdefault(term.factors, []).append(term.coefficient)
+        # fsum rounds once, so the merged coefficient ignores input order
+        sums = sorted((factors, math.fsum(c)) for factors, c in merged.items())
+        canon = tuple(PauliTerm(c, factors) for factors, c in sums if c != 0.0)
         object.__setattr__(self, "terms", canon)
 
     def __len__(self) -> int:

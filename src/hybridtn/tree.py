@@ -1,16 +1,20 @@
 """Hybrid tree tensor networks and their bottom-up evaluation.
 
 A tree is a rooted hierarchy of tensors.  Child nodes hang off a parent
-index (a qubit of a quantum parent, a site of an MPS parent) through one
-of the typed contraction cases; each child exposes a binary branch index
-upward.  The three two-layer variants are
+index (a qubit of a quantum parent, a site of an MPS parent); each child
+exposes a binary branch index upward.  A tree stores only its payloads,
+attach points and subsystem layout: the root is pre-order node 0, the
+depth and degree follow from the children, and the contraction case of
+each edge is read off the payload types of the two nodes it joins.  The
+three two-layer variants are
 
 * ``qq``  quantum root V on k qubits, quantum branches U_s prepared from
-          |0..0> and |1..1> (case 4 edges) -- the variational ansatz,
+          |0..0> and |1..1> (case 4: quantum parent, quantum child) --
+          the variational ansatz,
 * ``qc``  classical MPS root over k binary sites, quantum branches
-          (case 1 edges),
+          (case 1: MPS parent, quantum child),
 * ``cq``  quantum root, MPS branches whose site 0 is the branch leg
-          (case 2 edges).
+          (case 2: quantum parent, MPS child).
 
 Every tree quantity -- expectation, energy, overlap, transition element,
 and the perturbed states of the imaginary-time stencil -- comes from one
@@ -28,8 +32,9 @@ factors are measured once and unperturbed subtrees are shared; an
 :class:`EvalCounters` passed in by the caller observes the number of
 quantum- and classical-node evaluations actually performed.
 
-Parameters form one flat vector, distributed over quantum payloads in
-pre-order (root first, then branches in attach order).
+Parameters form one flat vector, laid out by
+:meth:`HybridTree.param_slices` over the quantum payloads in pre-order
+(root first, then branches in attach order).
 """
 
 from __future__ import annotations
@@ -80,7 +85,6 @@ class ProductObservable:
 @dataclass(frozen=True)
 class ChildLink:
     attach: int  # parent qubit (quantum parent) or site (MPS parent)
-    case: int
     node: "TreeNode"
 
 
@@ -88,23 +92,25 @@ class ChildLink:
 class TreeNode:
     payload: QuantumTensor | MpsTensor
     children: tuple[ChildLink, ...] = ()
-    role: str = "branch"
 
 
 @dataclass(frozen=True)
 class HybridTree:
     root: TreeNode
     layout: SubsystemLayout
-    depth: int
-    degree: int
+
+    def param_slices(self) -> tuple[tuple[int, int, int], ...]:
+        """(pre-order node index, start, stop) per quantum payload."""
+        out, at = [], 0
+        for i, node in enumerate(_preorder(self.root)):
+            if isinstance(node.payload, QuantumTensor):
+                out.append((i, at, at + node.payload.num_params))
+                at += node.payload.num_params
+        return tuple(out)
 
     @property
     def num_params(self) -> int:
-        return sum(
-            node.payload.num_params
-            for node in _preorder(self.root)
-            if isinstance(node.payload, QuantumTensor)
-        )
+        return sum(stop - start for _, start, stop in self.param_slices())
 
     def with_params(self, flat) -> "HybridTree":
         flat = np.asarray(flat, dtype=float)
@@ -112,20 +118,17 @@ class HybridTree:
             raise ValueError(
                 f"expected {self.num_params} parameters, got {len(flat)}"
             )
-        cursor = 0
+        slices = iter(self.param_slices())
 
         def rebuild(node: TreeNode) -> TreeNode:
-            nonlocal cursor
             payload = node.payload
             if isinstance(payload, QuantumTensor):
-                take = payload.num_params
-                payload = payload.with_params(flat[cursor : cursor + take])
-                cursor += take
+                _, start, stop = next(slices)
+                payload = payload.with_params(flat[start:stop])
             children = tuple(
-                ChildLink(link.attach, link.case, rebuild(link.node))
-                for link in node.children
+                ChildLink(link.attach, rebuild(link.node)) for link in node.children
             )
-            return TreeNode(payload, children, node.role)
+            return TreeNode(payload, children)
 
         return replace(self, root=rebuild(self.root))
 
@@ -136,15 +139,6 @@ class HybridTree:
             if isinstance(node.payload, QuantumTensor)
         ]
         return np.concatenate(parts) if parts else np.zeros(0)
-
-    def param_slices(self) -> tuple[tuple[int, int], ...]:
-        """(start, stop) per quantum payload in pre-order."""
-        out, at = [], 0
-        for node in _preorder(self.root):
-            if isinstance(node.payload, QuantumTensor):
-                out.append((at, at + node.payload.num_params))
-                at += node.payload.num_params
-        return tuple(out)
 
 
 def _preorder(node: TreeNode):
@@ -316,7 +310,7 @@ class _Pass:
         if isinstance(payload, QuantumTensor):
             physical = [q for q in range(payload.num_qubits) if q not in attach]
         else:
-            first = 0 if node.role == "root" else 1
+            first = 0 if i == 0 else 1  # a branch MPS's site 0 is its upward leg
             physical = [s for s in range(first, payload.num_sites) if s not in attach]
         subsystem = sum(entry is not None for entry in self.physical)
         self.physical.append((subsystem, tuple(physical)) if physical else None)
@@ -461,7 +455,7 @@ class _Pass:
             ops[site] = PAULI_MATRICES[letter]
         for site, mat in kids:
             ops[site] = mat
-        if self.ket_nodes[i].role == "root":
+        if i == 0:  # the root MPS has no upward leg
             out = np.asarray(mps_general_expectation(bra, ket, ops))[..., None, None]
         else:
             out = mps_open_site_matrix(bra, ket, 0, ops)
@@ -494,29 +488,19 @@ def tree_energy(
     return _Pass(tree, tree, factors, counters, strategy, shots, seed).term_sum().real
 
 
-def tree_overlap(
-    a: HybridTree, b: HybridTree, counters: EvalCounters | None = None
-) -> complex:
+def tree_overlap(a: HybridTree, b: HybridTree) -> complex:
     """<psi~_a | psi~_b> for structurally identical trees."""
-    return complex(_Pass(a, b, (), counters).block(0, None)[0, 0, 0, 0])
+    return complex(_Pass(a, b).block(0, None)[0, 0, 0, 0])
 
 
-def tree_transition(
-    a: HybridTree,
-    b: HybridTree,
-    obs: ProductObservable,
-    counters: EvalCounters | None = None,
-) -> complex:
+def tree_transition(a: HybridTree, b: HybridTree, obs: ProductObservable) -> complex:
     """<psi~_a | O_1 (x) ... (x) O_k | psi~_b> between two trees."""
-    return _Pass(a, b, ((1.0, obs.factors),), counters).term_sum()
+    return _Pass(a, b, ((1.0, obs.factors),)).term_sum()
 
 
-def tree_transition_energy(
-    a: HybridTree, b: HybridTree, h: Hamiltonian,
-    counters: EvalCounters | None = None,
-) -> complex:
+def tree_transition_energy(a: HybridTree, b: HybridTree, h: Hamiltonian) -> complex:
     """<psi~_a | H | psi~_b> as a decomposed-term sum."""
-    return _Pass(a, b, decompose_for_layout(h, b.layout), counters).term_sum()
+    return _Pass(a, b, decompose_for_layout(h, b.layout)).term_sum()
 
 
 # ---------------------------------------------------------------------------
@@ -529,15 +513,11 @@ def _layout_for_sizes(sizes: tuple[int, ...]) -> SubsystemLayout:
     return SubsystemLayout(len(sizes), tuple(sizes), tuple(assignment))
 
 
-def _split_params(params, sizes):
-    params = np.asarray(params, dtype=float)
-    if len(params) != sum(sizes):
-        raise ValueError(f"expected {sum(sizes)} parameters, got {len(params)}")
-    out, at = [], 0
-    for size in sizes:
-        out.append(params[at : at + size])
-        at += size
-    return out
+def _family(circuit: Circuit, labels: int) -> QuantumTensor:
+    """Shared-unitary payload prepared from |0..0> (and |1..1>), parameters zero."""
+    n = circuit.num_qubits
+    bits = ("0" * n, "1" * n)[:labels]
+    return QuantumTensor.shared(circuit, bits, np.zeros(circuit.num_params))
 
 
 def build_two_layer_qq(
@@ -553,37 +533,25 @@ def build_two_layer_qq(
     k = root_circuit.num_qubits
     if len(branch_circuits) != k:
         raise ValueError("one branch circuit per root qubit expected")
-    sizes = (root_circuit.num_params,) + tuple(c.num_params for c in branch_circuits)
-    pieces = _split_params(params, sizes)
-    root_payload = QuantumTensor.shared(root_circuit, ("0" * k,), pieces[0])
-    links = []
-    for s, circuit in enumerate(branch_circuits):
-        n = circuit.num_qubits
-        payload = QuantumTensor.shared(circuit, ("0" * n, "1" * n), pieces[1 + s])
-        links.append(ChildLink(s, 4, TreeNode(payload, (), "branch")))
-    root = TreeNode(root_payload, tuple(links), "root")
+    links = tuple(
+        ChildLink(s, TreeNode(_family(c, 2))) for s, c in enumerate(branch_circuits)
+    )
     layout = _layout_for_sizes(tuple(c.num_qubits for c in branch_circuits))
-    return HybridTree(root, layout, depth=2, degree=k)
+    return HybridTree(TreeNode(_family(root_circuit, 1), links), layout).with_params(params)
 
 
 def build_two_layer_qc(root_mps: MpsTensor, branch_circuits, params) -> HybridTree:
     """Classical MPS root over quantum branches (case-1 edges)."""
     branch_circuits = tuple(branch_circuits)
-    k = root_mps.num_sites
-    if len(branch_circuits) != k:
+    if len(branch_circuits) != root_mps.num_sites:
         raise ValueError("one branch circuit per root site expected")
     if any(dim != 2 for dim in root_mps.site_dims):
         raise ValueError("root sites must be binary branch indices")
-    sizes = tuple(c.num_params for c in branch_circuits)
-    pieces = _split_params(params, sizes)
-    links = []
-    for s, circuit in enumerate(branch_circuits):
-        n = circuit.num_qubits
-        payload = QuantumTensor.shared(circuit, ("0" * n, "1" * n), pieces[s])
-        links.append(ChildLink(s, 1, TreeNode(payload, (), "branch")))
-    root = TreeNode(root_mps, tuple(links), "root")
+    links = tuple(
+        ChildLink(s, TreeNode(_family(c, 2))) for s, c in enumerate(branch_circuits)
+    )
     layout = _layout_for_sizes(tuple(c.num_qubits for c in branch_circuits))
-    return HybridTree(root, layout, depth=2, degree=k)
+    return HybridTree(TreeNode(root_mps, links), layout).with_params(params)
 
 
 def build_two_layer_cq(root_circuit: Circuit, branch_mps, params) -> HybridTree:
@@ -593,21 +561,14 @@ def build_two_layer_cq(root_circuit: Circuit, branch_mps, params) -> HybridTree:
     leg; sites 1..n hold the block's physical qubits 0..n-1.
     """
     branch_mps = tuple(branch_mps)
-    k = root_circuit.num_qubits
-    if len(branch_mps) != k:
+    if len(branch_mps) != root_circuit.num_qubits:
         raise ValueError("one branch MPS per root qubit expected")
     for m in branch_mps:
         if m.site_dims[0] != 2:
             raise ValueError("branch MPS site 0 must be the binary branch leg")
-    root_payload = QuantumTensor.shared(
-        root_circuit, ("0" * k,), np.asarray(params, dtype=float)
-    )
-    links = []
-    for s, m in enumerate(branch_mps):
-        links.append(ChildLink(s, 2, TreeNode(m, (), "branch")))
-    root = TreeNode(root_payload, tuple(links), "root")
+    links = tuple(ChildLink(s, TreeNode(m)) for s, m in enumerate(branch_mps))
     layout = _layout_for_sizes(tuple(m.num_sites - 1 for m in branch_mps))
-    return HybridTree(root, layout, depth=2, degree=k)
+    return HybridTree(TreeNode(_family(root_circuit, 1), links), layout).with_params(params)
 
 
 # ---------------------------------------------------------------------------
@@ -626,16 +587,23 @@ def cost_estimate(tree: HybridTree, epsilon: float) -> CostEstimate:
     Each quantum node contributes one evaluation of chi**2 / epsilon**2
     samples; each classical node contributes sites * chi**4 contraction
     flops.  The reported ``bound`` is the geometric node-count envelope
-    sum_{i<D} t**i times the worst per-node cost, which dominates the
-    actual totals and grows linearly in the leaf count for fixed depth.
+    sum_{i<D} t**i times the worst per-node cost, with D the number of
+    levels and t the largest child count, which dominates the actual
+    totals and grows linearly in the leaf count for fixed depth.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+
+    def levels(node: TreeNode) -> int:
+        return 1 + max((levels(link.node) for link in node.children), default=0)
+
+    nodes = list(_preorder(tree.root))
+    degree = max(len(node.children) for node in nodes)
     quantum_nodes = 0
     classical_flops = 0.0
     chi = 2
-    max_sites = tree.degree
-    for node in _preorder(tree.root):
+    max_sites = degree
+    for node in nodes:
         for link in node.children:
             if isinstance(link.node.payload, QuantumTensor):
                 chi = max(chi, link.node.payload.num_labels)
@@ -648,7 +616,7 @@ def cost_estimate(tree: HybridTree, epsilon: float) -> CostEstimate:
             classical_flops += payload.num_sites * payload.chi**4
     cq_unit = float(np.ceil(chi**2 / epsilon**2))
     cc_unit = max_sites * chi**4
-    nodes_geom = sum(tree.degree**i for i in range(tree.depth))
+    nodes_geom = sum(degree**i for i in range(levels(tree.root)))
     bound = nodes_geom * (cq_unit + cc_unit)
     return CostEstimate(
         quantum_evals=quantum_nodes,

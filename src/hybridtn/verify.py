@@ -196,11 +196,11 @@ def tree_to_dense_spec(tree: HybridTree) -> DenseTreeSpec:
 # ---------------------------------------------------------------------------
 # individual checks
 
-def check_contraction_cases(seed: int = 11, per_case: int = 20) -> CheckResult:
+def check_contraction_cases(seed: int = 11) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for case in range(1, 6):
-        for _ in range(per_case):
+        for _ in range(20):
             ta, la, tb, lb = random_case_instance(case, rng)
             got = realize_case(case, ta, la, tb, lb)
             want_amps, want_norm = dense_contract_pair(case, ta, la, tb, lb)
@@ -210,7 +210,7 @@ def check_contraction_cases(seed: int = 11, per_case: int = 20) -> CheckResult:
     return CheckResult(
         "contraction_cases_match_dense",
         worst <= 1e-10,
-        f"max deviation {worst:.2e} over {5 * per_case} instances",
+        f"max deviation {worst:.2e} over 100 instances",
     )
 
 
@@ -240,13 +240,11 @@ def _entry_sigma(strategy: str, q, term, shots: int) -> float:
     return abs(term.coefficient) * math.sqrt(variance_factor / shots_each)
 
 
-def check_measurement_strategies(
-    seed: int = 12, count: int = 15, shots: int = 0
-) -> CheckResult:
+def check_measurement_strategies(seed: int = 12, shots: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = -math.inf
     for strategy in ("hadamard_test", "superposition_input", "pauli_open_index"):
-        for trial in range(count):
+        for trial in range(15):
             q, term = _strategy_instances(rng, strategy)
             direct = measure_branch_observable(q, term, "direct").entries
             got = measure_branch_observable(
@@ -266,10 +264,10 @@ def check_measurement_strategies(
     return CheckResult("measurement_strategies_match_direct", passed, detail)
 
 
-def check_open_index_reconstruction(seed: int = 13, count: int = 20) -> CheckResult:
+def check_open_index_reconstruction(seed: int = 13) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(count):
+    for _ in range(20):
         q, term = _strategy_instances(rng, "pauli_open_index")
         recon = branch_matrix_raw(q, term, "pauli_open_index")
         direct = branch_matrix_raw(q, term, "direct")
@@ -281,10 +279,10 @@ def check_open_index_reconstruction(seed: int = 13, count: int = 20) -> CheckRes
     )
 
 
-def check_tree_normalization(seed: int = 14, count: int = 20) -> CheckResult:
+def check_tree_normalization(seed: int = 14) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(count):
+    for _ in range(20):
         k = int(rng.integers(2, 4))
         n = int(rng.integers(1, 3))
         tree = random_qq_tree(rng, k, n)
@@ -297,10 +295,10 @@ def check_tree_normalization(seed: int = 14, count: int = 20) -> CheckResult:
     )
 
 
-def check_tree_against_dense(seed: int = 15, count: int = 10) -> CheckResult:
+def check_tree_against_dense(seed: int = 15) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(count):
+    for _ in range(10):
         k, n = 2, 2
         tree = random_qq_tree(rng, k, n)
         h, layout = build_1d_cluster(n, k, lam=float(rng.uniform(0, 1)), seed=int(rng.integers(1 << 30)))
@@ -315,7 +313,7 @@ def check_tree_against_dense(seed: int = 15, count: int = 10) -> CheckResult:
     )
 
 
-def check_metric_gradient_analytic(seed: int = 16) -> CheckResult:
+def check_metric_gradient_analytic() -> CheckResult:
     circuit = Circuit(1, (GateOp("RX", (0,), param=0),), 1)
     h = Hamiltonian(1, (PauliTerm(1.0, ((0, "Z"),)),))
     problem = CircuitProblem(circuit, h)
@@ -343,10 +341,10 @@ def check_metric_gradient_analytic(seed: int = 16) -> CheckResult:
     )
 
 
-def check_metric_psd(seed: int = 17, count: int = 5) -> CheckResult:
+def check_metric_psd(seed: int = 17) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(count):
+    for _ in range(5):
         circuit, params = random_circuit(rng, 2, 2)
         h = Hamiltonian(2, (PauliTerm(1.0, ((0, "Z"), (1, "Z"))),))
         problem = CircuitProblem(circuit, h)
@@ -361,10 +359,10 @@ def check_metric_psd(seed: int = 17, count: int = 5) -> CheckResult:
     )
 
 
-def check_subspace(seed: int = 18, count: int = 25) -> CheckResult:
+def check_subspace(seed: int = 18) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(count):
+    for _ in range(25):
         dim = int(rng.integers(2, 5))
         basis = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         s = basis.conj().T @ basis + 1e-3 * np.eye(dim)
@@ -405,12 +403,12 @@ def check_cost_linearity(seed: int = 19) -> CheckResult:
     )
 
 
-def check_descent(seed: int = 21, iters: int = 15) -> CheckResult:
+def check_descent(seed: int = 21) -> CheckResult:
     rng = np.random.default_rng(seed)
     tree = random_qq_tree(rng, 2, 2, depth_u=2, depth_v=1)
     h, _ = build_1d_cluster(2, 2, lam=1.0, seed=5)
     problem = TreeProblem(tree, h)
-    config = IteConfig(max_iters=iters, conv_window=10**9)
+    config = IteConfig(max_iters=15, conv_window=10**9)
     result = run_ite(problem, config)
     energies = [r.energy for r in result.trajectory if r.accepted]
     drops = [b - a for a, b in zip(energies, energies[1:])]
@@ -426,14 +424,14 @@ def check_descent(seed: int = 21, iters: int = 15) -> CheckResult:
 # suite
 
 def run_checks(shots: int = 0, seed: int = 0) -> list[CheckResult]:
-    """The full named suite; seed shifts every check's instance stream."""
+    """The full named suite; seed shifts each random check's instance stream."""
     return [
         check_contraction_cases(seed=11 + seed),
         check_measurement_strategies(seed=12 + seed, shots=shots),
         check_open_index_reconstruction(seed=13 + seed),
         check_tree_normalization(seed=14 + seed),
         check_tree_against_dense(seed=15 + seed),
-        check_metric_gradient_analytic(seed=16 + seed),
+        check_metric_gradient_analytic(),
         check_metric_psd(seed=17 + seed),
         check_subspace(seed=18 + seed),
         check_cost_linearity(seed=19 + seed),

@@ -26,7 +26,14 @@ from hybridtn.ite import (
     solve_subspace,
     subspace_matrices,
 )
-from hybridtn.oracles import dense_tree_state, exact_ground_energy, hamiltonian_matrix
+from hybridtn.oracles import (
+    DenseTreeSpec,
+    dense_contract_pair,
+    dense_family,
+    dense_tree_state,
+    exact_ground_energy,
+    hamiltonian_matrix,
+)
 from hybridtn.pauli import Hamiltonian, PauliTerm, build_1d_cluster
 from hybridtn.statevector import (
     Circuit,
@@ -408,9 +415,9 @@ def _stencil_tree(kind: str = "qq"):
 def _with_distinct_branch(tree, circuits, params):
     """The tree with branch 0 replaced by a distinct-unitaries payload."""
     link = tree.root.children[0]
-    branch = TreeNode(QuantumTensor.distinct(circuits, params), (), "branch")
-    children = (ChildLink(link.attach, link.case, branch),) + tree.root.children[1:]
-    return replace(tree, root=TreeNode(tree.root.payload, children, "root"))
+    branch = TreeNode(QuantumTensor.distinct(circuits, params))
+    children = (ChildLink(link.attach, branch),) + tree.root.children[1:]
+    return replace(tree, root=TreeNode(tree.root.payload, children))
 
 
 def _assert_routes_agree(tree, h):
@@ -496,12 +503,32 @@ def _three_layer_tree(
 
     links = []
     for s in range(2):
-        leaf = TreeNode(payload(n, ("0" * n, "1" * n)), (), "branch")
+        leaf = TreeNode(payload(n, ("0" * n, "1" * n)))
         mid_bits = ("0" * (n + 1), "1" * (n + 1))
-        mid = TreeNode(payload(n + 1, mid_bits), (ChildLink(0, 4, leaf),), "branch")
-        links.append(ChildLink(s, 4, mid))
-    root = TreeNode(payload(2, ("00",)), tuple(links), "root")
-    return HybridTree(root, _layout_for_sizes((n,) * 4), depth=3, degree=2)
+        mid = TreeNode(payload(n + 1, mid_bits), (ChildLink(0, leaf),))
+        links.append(ChildLink(s, mid))
+    root = TreeNode(payload(2, ("00",)), tuple(links))
+    return HybridTree(root, _layout_for_sizes((n,) * 4))
+
+
+def test_three_layer_tree_energy_matches_dense_oracle_state():
+    # middle nodes carry physical qubits and a child; the reference state
+    # comes from the oracles' literal case-4 contraction and tree sum
+    for seed in range(6):
+        rng = np.random.default_rng(90 + seed)
+        n = 1 + seed % 2
+        tree = _three_layer_tree(rng, n, lambda w: random_circuit(rng, w, 2)[0])
+        h, _ = build_1d_cluster(n, 4, lam=0.8, seed=seed)
+        families = []
+        for link in tree.root.children:
+            (below,) = link.node.children
+            mid = replace(link.node.payload, quantum_groups=((below.attach,),))
+            families.append(dense_contract_pair(4, mid, "q0", below.node.payload, "i")[0])
+        # alpha[i_0, i_1] with root qubit s carrying branch s
+        coeff = dense_family(tree.root.payload)[0].reshape(2, 2).T
+        psi = dense_tree_state(DenseTreeSpec(coeff, tuple(families)))
+        want = np.vdot(psi, hamiltonian_matrix(h) @ psi).real
+        assert tree_energy(tree, h) == pytest.approx(want, abs=1e-10)
 
 
 def test_fast_and_generic_routes_agree_on_metric_and_gradient():

@@ -136,6 +136,13 @@ def test_lanczos_route_identity_hamiltonian(monkeypatch):
     assert np.linalg.norm(state.amps) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_lanczos_route_zero_hamiltonian(monkeypatch):
+    monkeypatch.setattr(oracles, "hamiltonian_matrix", _no_dense_matrix)
+    e0, state = exact_ground_energy(Hamiltonian(11, ()))
+    assert e0 == 0.0
+    assert np.linalg.norm(state.amps) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_ground_energy_term_order_invariant():
     h, _ = build_1d_cluster(3, 2, lam=0.9, seed=9)
     shuffled = Hamiltonian(h.num_qubits, h.terms[::-1])

@@ -30,6 +30,7 @@ from hybridtn.tree import (
     tree_transition_energy,
 )
 from hybridtn.verify import random_local_term, random_qq_tree, tree_to_dense_spec
+from test_ite import _three_layer_tree
 
 
 def global_term(rng: np.random.Generator, num_qubits: int) -> PauliTerm:
@@ -194,7 +195,7 @@ def test_parameter_round_trip_and_slices():
     rebuilt = tree.with_params(flat)
     np.testing.assert_array_equal(rebuilt.flat_params(), flat)
     slices = tree.param_slices()
-    assert sum(stop - start for start, stop in slices) == tree.num_params
+    assert sum(stop - start for _, start, stop in slices) == tree.num_params
     fresh = rng.uniform(-1, 1, size=tree.num_params)
     np.testing.assert_array_equal(tree.with_params(fresh).flat_params(), fresh)
 
@@ -209,7 +210,8 @@ def test_builder_rejects_wrong_param_length():
 @given(st.floats(1e-4, 0.5), st.integers(2, 5))
 def test_cost_estimate_bound_dominates(epsilon, k):
     rng = np.random.default_rng(64)
-    tree = random_qq_tree(rng, k, 2, depth_u=1, depth_v=1)
-    est = cost_estimate(tree, epsilon)
-    assert est.quantum_samples + est.classical_flops <= est.bound
-    assert est.quantum_evals > 0
+    # a two-layer tree of degree k, and a three-layer tree of degree 2
+    for tree in (random_qq_tree(rng, k, 2, depth_u=1, depth_v=1), _three_layer_tree(rng)):
+        est = cost_estimate(tree, epsilon)
+        assert est.quantum_samples + est.classical_flops <= est.bound
+        assert est.quantum_evals > 0
