@@ -130,14 +130,13 @@ def _parse_ite(data: dict) -> dict:
     return overrides
 
 
+_FIELD_KEYS = tuple(f.name for f in dataclasses.fields(FieldValues))
+
+
 def _parse_fields(data: dict) -> FieldValues:
-    _reject_unknown(data, ("f", "g", "h"), "fields")
-    defaults = FieldValues()
-    return FieldValues(
-        f=_as_float(data.get("f", defaults.f), "fields.f"),
-        g=_as_float(data.get("g", defaults.g), "fields.g"),
-        h=_as_float(data.get("h", defaults.h), "fields.h"),
-    )
+    _reject_unknown(data, _FIELD_KEYS, "fields")
+    values = {key: _as_float(data[key], f"fields.{key}") for key in data}
+    return FieldValues(**values)
 
 
 _TOP_KEYS = (
@@ -242,11 +241,7 @@ def effective_config_dict(config: ExperimentConfig, lam) -> dict:
         "n": config.n,
         "k": config.k,
         "lambda": lam,
-        "fields": {
-            "f": config.fields.f,
-            "g": config.fields.g,
-            "h": config.fields.h,
-        },
+        "fields": dataclasses.asdict(config.fields),
         "d_U": config.d_u,
         "d_V": config.d_v,
         "ite": {f.name: getattr(config.ite, f.name) for f in _ITE_FIELDS},
@@ -458,8 +453,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.verb == "verify":
+        if args.shots < 0:
+            parser.error(f"--shots must be >= 0, got {args.shots}")
         return cmd_verify(args.shots, args.seed)
     try:
         config = load_config(args.config)

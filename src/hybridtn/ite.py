@@ -117,6 +117,9 @@ class IteConfig:
     def __post_init__(self):
         if self.delta <= 0 or self.dtau0 <= 0 or self.reg < 0:
             raise ValueError("delta and dtau0 must be positive, reg nonnegative")
+        # the metric divides by delta**2
+        if not 0.0 < self.delta * self.delta < np.inf:
+            raise ValueError(f"delta**2 must be finite and nonzero, got {self.delta!r}")
 
 
 @dataclass

@@ -299,12 +299,6 @@ class MpsTensor:
     def site_dims(self) -> tuple[int, ...]:
         return tuple(core.shape[1] for core in self.cores)
 
-    def indices(self) -> dict[str, TensorIndex]:
-        return {
-            f"site{j}": TensorIndex(f"site{j}", dim, "classical")
-            for j, dim in enumerate(self.site_dims)
-        }
-
 
 @dataclass(frozen=True)
 class HermitianObservable:
@@ -360,8 +354,8 @@ class HybridNetwork:
     def add(self, name: str, tensor) -> "HybridNetwork":
         if name in self.nodes:
             raise ValueError(f"node {name!r} already present")
-        if not isinstance(tensor, (QuantumTensor, ClassicalTensor, MpsTensor)):
-            raise TypeError("unsupported tensor type")
+        if not isinstance(tensor, (QuantumTensor, ClassicalTensor)):
+            raise TypeError(f"unsupported tensor type {type(tensor).__name__}")
         self.nodes[name] = tensor
         return self
 
@@ -653,6 +647,8 @@ def branch_matrix_raw(
     """Unhermitized branch-observable matrix (internal / diagnostics)."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
+    if shots < 0:
+        raise ValueError(f"shots must be non-negative, got {shots}")
     if local_obs.max_qubit() >= q.num_qubits:
         raise ValueError("observable acts outside the tensor register")
     if strategy == "direct":
@@ -680,8 +676,9 @@ def measure_branch_observable(
 ) -> HermitianObservable:
     """Branch observable M^{i',i} = <psi^{i'}|O|psi^{i}> over the branch index.
 
-    ``shots == 0`` evaluates exactly; with shots the non-direct strategies
-    estimate each Pauli component from an equal share of the budget.
+    ``shots == 0`` evaluates exactly; with shots > 0 the non-direct
+    strategies estimate each Pauli component from an equal share of the
+    budget.  Negative shots raise ``ValueError``.
     The returned matrix is Hermitized, (M + M^dagger) / 2.
     """
     raw = branch_matrix_raw(q, local_obs, strategy, shots, seed)

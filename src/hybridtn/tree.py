@@ -30,7 +30,9 @@ parent takes the blocks as batched site operators.  Blocks are cached
 per (node, local observable, open nodes below), so repeated Hamiltonian
 factors are measured once and unperturbed subtrees are shared; an
 :class:`EvalCounters` passed in by the caller observes the number of
-quantum- and classical-node evaluations actually performed.
+quantum- and classical-node evaluations actually performed.  The
+contraction is exact; measuring one branch observable on a register,
+sampled or not, is :func:`~hybridtn.tensors.measure_branch_observable`.
 
 Parameters form one flat vector, laid out by
 :meth:`HybridTree.param_slices` over the quantum payloads in pre-order
@@ -53,12 +55,10 @@ from .pauli import (
     parity_signs,
     pauli_word_masks,
 )
-from .rng import SplitMix64
 from .statevector import Circuit, PAULI_MATRICES, _apply_1q
 from .tensors import (
     MpsTensor,
     QuantumTensor,
-    branch_matrix_raw,
     mps_general_expectation,
     mps_open_site_matrix,
 )
@@ -263,9 +263,6 @@ class _Pass:
         ket: HybridTree,
         factors=(),
         counters: EvalCounters | None = None,
-        strategy: str = "direct",
-        shots: int = 0,
-        seed: int = 0,
         words: dict | None = None,
         stacks: dict | None = None,
     ):
@@ -273,9 +270,6 @@ class _Pass:
             raise ValueError("observable factor count does not match the layout")
         self.factors = factors
         self.counters = counters if counters is not None else EvalCounters()
-        self.strategy = strategy
-        self.shots = shots
-        self.seed_stream = SplitMix64(seed)
         self.words = {} if words is None else words  # compiled, per leaf
         self.ket_nodes = list(_preorder(ket.root))
         self.ket_stacks = dict(stacks or {})
@@ -372,16 +366,6 @@ class _Pass:
         return out
 
     def _quantum(self, i, obs, factors, kids, bra_open, ket_open) -> np.ndarray:
-        payload = self.ket_nodes[i].payload
-        if not kids and obs is not None and self.strategy != "direct":
-            raw = branch_matrix_raw(
-                payload,
-                PauliTerm(1.0, factors),
-                self.strategy,
-                self.shots,
-                self.seed_stream.next_u64() >> 1,
-            )
-            return raw[None, None]
         bra = self._stack(self.bra_stacks, self.bra_nodes, i)
         ket = self._stack(self.ket_stacks, self.ket_nodes, i)
         rows_b = slice(None) if bra_open else slice(1)
@@ -392,7 +376,7 @@ class _Pass:
             if mat.shape[2:] != (2, 2):
                 raise ValueError("child branch index must be binary")
         plain = [mat.shape[:2] == (1, 1) for _, mat in kids]  # no open rows below
-        n = payload.num_qubits
+        n = self.ket_nodes[i].payload.num_qubits
         if not (bra_open or ket_open or factors) and 4 ** len(kids) <= _REDUCTION_MAX:
             # the base states' reduction on every child qubit is shared by
             # all observables and open nodes; plain children go in first
@@ -463,29 +447,18 @@ class _Pass:
 
 
 def tree_expectation(
-    tree: HybridTree,
-    obs: ProductObservable,
-    strategy: str = "direct",
-    shots: int = 0,
-    seed: int = 0,
-    counters: EvalCounters | None = None,
+    tree: HybridTree, obs: ProductObservable, counters: EvalCounters | None = None
 ) -> float:
-    """<psi~| O_1 (x) ... (x) O_k |psi~> by bottom-up branch measurement."""
-    terms = ((1.0, obs.factors),)
-    return _Pass(tree, tree, terms, counters, strategy, shots, seed).term_sum().real
+    """<psi~| O_1 (x) ... (x) O_k |psi~> by one exact bottom-up contraction."""
+    return _Pass(tree, tree, ((1.0, obs.factors),), counters).term_sum().real
 
 
 def tree_energy(
-    tree: HybridTree,
-    h: Hamiltonian,
-    strategy: str = "direct",
-    shots: int = 0,
-    seed: int = 0,
-    counters: EvalCounters | None = None,
+    tree: HybridTree, h: Hamiltonian, counters: EvalCounters | None = None
 ) -> float:
-    """Energy as the decomposed-term sum, sharing one branch-matrix cache."""
+    """Energy as the decomposed-term sum, sharing one branch-block cache."""
     factors = decompose_for_layout(h, tree.layout)
-    return _Pass(tree, tree, factors, counters, strategy, shots, seed).term_sum().real
+    return _Pass(tree, tree, factors, counters).term_sum().real
 
 
 def tree_overlap(a: HybridTree, b: HybridTree) -> complex:

@@ -144,6 +144,15 @@ def test_config_rejects_bad_field_values():
             config_from_dict(minimal_config(**overrides))
 
 
+@pytest.mark.parametrize("delta", [1e155, 1e-200])
+def test_config_rejects_delta_whose_square_leaves_the_floats(tmp_path, capsys, delta):
+    config_path = write_config(tmp_path, minimal_config(ite={"delta": delta}))
+    assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG
+    assert "ite: delta**2" in capsys.readouterr().err
+    for ok in (1e150, 1e-150):
+        assert config_from_dict(minimal_config(ite={"delta": ok})).ite.delta == ok
+
+
 def test_seed_override_reaches_both_config_levels():
     config = config_from_dict(minimal_config())
     bumped = with_seed(config, 9)
@@ -384,6 +393,13 @@ def test_verify_verb_reports_all_checks_passing(tmp_path, capsys, monkeypatch):
     assert len(lines) >= 11
     assert all("PASS" in line for line in lines[:-1])
     assert lines[-1] == "10/10 checks passed"
+
+
+def test_verify_verb_rejects_negative_shots(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--shots", "-5"])
+    assert exc.value.code == 2
+    assert "--shots" in capsys.readouterr().err
 
 
 def test_trajectory_floats_round_trip_via_repr(tmp_path):

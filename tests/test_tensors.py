@@ -31,6 +31,7 @@ from hybridtn.tensors import (
     reconstruct_from_pauli,
 )
 from hybridtn.verify import (
+    check_measurement_strategies,
     random_case_instance,
     random_circuit,
     random_local_term,
@@ -173,6 +174,34 @@ def test_strategy_mode_restrictions():
         measure_branch_observable(shared, PauliTerm(1.0, ((5, "Z"),)), "direct")
 
 
+def test_seeded_branch_sampling_repeats_per_seed():
+    rng = np.random.default_rng(41)
+    q = random_quantum_tensor(rng, 2, 2)
+    term = random_local_term(rng, 2)
+
+    def sample(seed):
+        return measure_branch_observable(
+            q, term, "hadamard_test", shots=256, seed=seed
+        ).entries
+
+    np.testing.assert_array_equal(sample(9), sample(9))
+    assert not np.array_equal(sample(9), sample(10))
+
+
+def test_negative_shots_rejected():
+    rng = np.random.default_rng(42)
+    q = random_quantum_tensor(rng, 2, 2)
+    term = random_local_term(rng, 2)
+    for strategy in ("direct", "hadamard_test", "superposition_input"):
+        with pytest.raises(ValueError, match="shots"):
+            branch_matrix_raw(q, term, strategy, shots=-5)
+
+
+def test_sampled_strategy_check_passes():
+    result = check_measurement_strategies(shots=4000)
+    assert result.passed, result.detail
+
+
 def test_reconstruction_formula_entries():
     e_i, e_x, e_y, e_z = 0.9, 0.3, -0.2, 0.5
     m = reconstruct_from_pauli(e_i, e_x, e_y, e_z).entries
@@ -251,6 +280,13 @@ def test_network_rejects_bad_edges():
     net2.add("y", ClassicalTensor(rng.normal(size=(2, 2)), ("i", "m")))
     with pytest.raises(ValueError):
         net2.connect(("x", "i"), ("y", "i"))  # no quantum tensor involved
+
+
+def test_network_rejects_mps_nodes():
+    net = HybridNetwork()
+    with pytest.raises(TypeError, match="MpsTensor"):
+        net.add("m", random_mps(2, chi=2, seed=43))
+    assert not net.nodes
 
 
 def test_quantum_classical_edge_puts_quantum_index_first():
