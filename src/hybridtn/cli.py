@@ -458,6 +458,8 @@ def main(argv=None) -> int:
     if args.verb == "verify":
         if args.shots < 0:
             parser.error(f"--shots must be >= 0, got {args.shots}")
+        if args.seed < 0:
+            parser.error(f"--seed must be >= 0, got {args.seed}")
         return cmd_verify(args.shots, args.seed)
     try:
         config = load_config(args.config)

@@ -33,7 +33,7 @@ transpose), one per (term, node) the energies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,6 +120,11 @@ class IteConfig:
         # the metric divides by delta**2
         if not 0.0 < self.delta * self.delta < np.inf:
             raise ValueError(f"delta**2 must be finite and nonzero, got {self.delta!r}")
+        # a zero cap or a shrinking "growth" flattens the energy into false convergence
+        if not self.dtau_cap > 0:
+            raise ValueError(f"dtau_cap must be positive, got {self.dtau_cap!r}")
+        if not self.dtau_grow >= 1:
+            raise ValueError(f"dtau_grow must be >= 1, got {self.dtau_grow!r}")
 
 
 @dataclass
@@ -293,6 +298,7 @@ def _perturbed_stack(circuit: Circuit, params, init_states: np.ndarray, delta: f
     n = circuit.num_qubits
     buf = np.empty((m + 1,) + init_states.shape, dtype=complex)
     buf[0] = init_states
+    bumps = np.full(m, delta)  # every slot at angle delta: the extra gate
     row_of: dict[int, int] = {}  # slot -> buffer row, in order of first use
     for op in circuit.ops:
         slot = op.param
@@ -303,8 +309,7 @@ def _perturbed_stack(circuit: Circuit, params, init_states: np.ndarray, delta: f
         buf[:live] = apply_op_array(buf[:live], op, params, n)
         if slot is not None:
             row = row_of[slot]
-            bump = replace(op, param=None, angle=delta)
-            buf[row] = apply_op_array(buf[row], bump, None, n)
+            buf[row] = apply_op_array(buf[row], op, bumps, n)
     order = [0] + [row_of.get(q, 0) for q in range(m)]
     if order != list(range(m + 1)):
         buf = buf[order]

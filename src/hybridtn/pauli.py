@@ -203,6 +203,17 @@ def _block_terms(offset: int, n: int, fields: FieldValues) -> list[PauliTerm]:
     return terms
 
 
+def _coupled_blocks(
+    n: int, k: int, fields: FieldValues, bonds
+) -> tuple[Hamiltonian, SubsystemLayout]:
+    """Block terms of k blocks of n spins plus one ZZ term per (a, b, strength)."""
+    if n < 1 or k < 1:
+        raise ValueError("n and k must be positive")
+    terms = [t for j in range(k) for t in _block_terms(j * n, n, fields)]
+    terms += [PauliTerm(s, ((a, "Z"), (b, "Z"))) for a, b, s in bonds]
+    return Hamiltonian(n * k, tuple(terms)), SubsystemLayout.block_major(k, n)
+
+
 def build_1d_cluster(
     n: int,
     k: int,
@@ -217,18 +228,12 @@ def build_1d_cluster(
     strength lam * f_j, f_j drawn uniformly from [0, 1) in boundary order
     j = 0 .. k-2 from ``SplitMix64(seed)``.
     """
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive")
-    terms: list[PauliTerm] = []
-    for j in range(k):
-        terms.extend(_block_terms(j * n, n, fields))
     stream = SplitMix64(seed)
-    for j in range(k - 1):
-        f_j = stream.next_float()
-        boundary = ((j + 1) * n - 1, (j + 1) * n)
-        terms.append(PauliTerm(lam * f_j, ((boundary[0], "Z"), (boundary[1], "Z"))))
-    layout = SubsystemLayout.block_major(k, n)
-    return Hamiltonian(n * k, tuple(terms)), layout
+    bonds = [
+        ((j + 1) * n - 1, (j + 1) * n, lam * stream.next_float())
+        for j in range(k - 1)
+    ]
+    return _coupled_blocks(n, k, fields, bonds)
 
 
 def build_2d_web(
@@ -246,20 +251,13 @@ def build_2d_web(
     f_{j,i} uniform in [0, 1), drawn row-major (j outer, i inner) from
     ``SplitMix64(seed)``.
     """
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive")
-    terms: list[PauliTerm] = []
-    for j in range(k):
-        terms.extend(_block_terms(j * n, n, fields))
     stream = SplitMix64(seed)
-    for j in range(k - 1):
-        for i in range(n):
-            f_ji = stream.next_float()
-            terms.append(
-                PauliTerm(lam * f_ji, ((j * n + i, "Z"), ((j + 1) * n + i, "Z")))
-            )
-    layout = SubsystemLayout.block_major(k, n)
-    return Hamiltonian(n * k, tuple(terms)), layout
+    bonds = [
+        (j * n + i, (j + 1) * n + i, lam * stream.next_float())
+        for j in range(k - 1)
+        for i in range(n)
+    ]
+    return _coupled_blocks(n, k, fields, bonds)
 
 
 # Per-subsystem factor: sorted tuple of (local qubit, letter); () is identity.

@@ -18,13 +18,14 @@ stacks of perturbed states through a circuit at once.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliTerm
+from .pauli import PauliTerm, parity_signs
 
 GATE_KINDS = frozenset({"RX", "RY", "RZ", "RZZ", "H", "X", "CNOT"})
 ROTATION_KINDS = frozenset({"RX", "RY", "RZ", "RZZ"})
@@ -114,48 +115,32 @@ def _apply_1q(amps: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
     return out.reshape(lead + (2**n,))
 
 
-_bit_parity_cache: dict[tuple, np.ndarray] = {}
+@functools.lru_cache(maxsize=None)
+def _bit_index(n: int, targets: tuple[int, ...]) -> np.ndarray:
+    """Local basis index of every amplitude on ``targets`` (first target high)."""
+    idx = np.arange(2**n)
+    out = np.zeros(2**n, dtype=np.intp)
+    for t in targets:
+        out = 2 * out + ((idx >> t) & 1)
+    out.flags.writeable = False
+    return out
 
 
-def _bit_values(n: int, q: int) -> np.ndarray:
-    key = ("bit", n, q)
-    if key not in _bit_parity_cache:
-        idx = np.arange(2**n)
-        _bit_parity_cache[key] = ((idx >> q) & 1).astype(bool)
-    return _bit_parity_cache[key]
-
-
-def _pair_parity(n: int, qa: int, qb: int) -> np.ndarray:
-    key = ("pair", n, qa, qb)
-    if key not in _bit_parity_cache:
-        idx = np.arange(2**n)
-        _bit_parity_cache[key] = (((idx >> qa) ^ (idx >> qb)) & 1).astype(bool)
-    return _bit_parity_cache[key]
-
-
-def _apply_rz(amps, theta, q, n):
-    bit = _bit_values(n, q)
-    phase = np.where(bit, np.exp(0.5j * theta), np.exp(-0.5j * theta))
-    return amps * phase
-
-
-def _apply_rzz(amps, theta, qa, qb, n):
-    differ = _pair_parity(n, qa, qb)
-    phase = np.where(differ, np.exp(1j * theta), np.exp(-1j * theta))
-    return amps * phase
+def _diagonal(kind: str, theta: float) -> np.ndarray:
+    """Diagonal of RZ or RZZ over the local basis of :func:`_bit_index`."""
+    if kind == "RZ":
+        return np.array([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
+    e_m, e_p = np.exp(-1j * theta), np.exp(1j * theta)
+    return np.array([e_m, e_p, e_p, e_m])
 
 
 def _apply_cnot(amps, control, target, n):
-    lead = amps.shape[:-1]
-    t = amps.reshape(lead + (2,) * n)
-    nd = t.ndim
-    axc, axt = nd - 1 - control, nd - 1 - target
-    t2 = np.moveaxis(t, (axc, axt), (nd - 2, nd - 1))
-    shp = t2.shape
-    flat = t2.reshape(-1, 4)[:, [0, 1, 3, 2]]
-    t2 = flat.reshape(shp)
-    t2 = np.moveaxis(t2, (nd - 2, nd - 1), (axc, axt))
-    return t2.reshape(lead + (2**n,))
+    # axis n - q of the (rows, (2,) * n) view holds qubit q
+    src = amps.reshape((-1,) + (2,) * n)
+    out = src.copy()
+    high = (slice(None),) * (n - control) + (slice(1, 2),)  # control bit 1
+    out[high] = np.flip(src[high], n - target)
+    return out.reshape(amps.shape)
 
 
 def _rotation_matrix(kind: str, theta: float) -> np.ndarray:
@@ -167,18 +152,16 @@ def _rotation_matrix(kind: str, theta: float) -> np.ndarray:
     raise ValueError(kind)
 
 
+def _angle(op: GateOp, params) -> float:
+    return op.angle if op.param is None else float(params[op.param])
+
+
 def gate_matrix(op: GateOp, params=None) -> np.ndarray:
     """Dense matrix of one gate (2x2 or 4x4), used by the oracle checks."""
-    theta = None
-    if op.kind in ROTATION_KINDS:
-        theta = op.angle if op.param is None else float(params[op.param])
     if op.kind in ("RX", "RY"):
-        return _rotation_matrix(op.kind, theta)
-    if op.kind == "RZ":
-        return np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
-    if op.kind == "RZZ":
-        e_m, e_p = np.exp(-1j * theta), np.exp(1j * theta)
-        return np.diag([e_m, e_p, e_p, e_m])
+        return _rotation_matrix(op.kind, _angle(op, params))
+    if op.kind in ("RZ", "RZZ"):
+        return np.diag(_diagonal(op.kind, _angle(op, params)))
     if op.kind == "H":
         return _H_MAT.copy()
     if op.kind == "X":
@@ -191,15 +174,12 @@ def gate_matrix(op: GateOp, params=None) -> np.ndarray:
 
 
 def apply_op_array(amps: np.ndarray, op: GateOp, params, n: int) -> np.ndarray:
-    theta = None
-    if op.kind in ROTATION_KINDS:
-        theta = op.angle if op.param is None else float(params[op.param])
-    if op.kind == "RZ":
-        return _apply_rz(amps, theta, op.targets[0], n)
-    if op.kind == "RZZ":
-        return _apply_rzz(amps, theta, op.targets[0], op.targets[1], n)
+    if op.kind in ("RZ", "RZZ"):
+        diag = _diagonal(op.kind, _angle(op, params))
+        return amps * diag[_bit_index(n, op.targets)]
     if op.kind in ("RX", "RY"):
-        return _apply_1q(amps, _rotation_matrix(op.kind, theta), op.targets[0], n)
+        mat = _rotation_matrix(op.kind, _angle(op, params))
+        return _apply_1q(amps, mat, op.targets[0], n)
     if op.kind == "H":
         return _apply_1q(amps, _H_MAT, op.targets[0], n)
     if op.kind == "X":
@@ -283,10 +263,9 @@ def sample_pauli_expectation(
             amps = _apply_1q(amps, _SDG_MAT, qubit, n)
             amps = _apply_1q(amps, _H_MAT, qubit, n)
     probs = np.abs(amps) ** 2
-    parity = np.zeros(2**n, dtype=bool)
-    for qubit, _ in term.factors:
-        parity ^= _bit_values(n, qubit)
-    p_even = float(np.clip(probs[~parity].sum(), 0.0, 1.0))
+    mask = sum(1 << qubit for qubit, _ in term.factors)
+    even = parity_signs(np.arange(2**n), mask) > 0
+    p_even = float(np.clip(probs[even].sum(), 0.0, 1.0))
     rng = np.random.default_rng(seed)
     hits = int(rng.binomial(shots, p_even))
     return term.coefficient * (2.0 * hits / shots - 1.0)

@@ -42,6 +42,7 @@ import numpy as np
 from .pauli import PauliTerm
 from .rng import SplitMix64
 from .statevector import (
+    PAULI_MATRICES,
     Circuit,
     apply_circuit_array,
     apply_pauli_array,
@@ -553,6 +554,14 @@ def _direct_matrix(q: QuantumTensor, local_obs: PauliTerm) -> np.ndarray:
     return local_obs.coefficient * raw
 
 
+def _ancilla_components(psi, base, anc: int, n: int, shots: int, seed) -> list:
+    """E(I), E(X), E(Y), E(Z): ``base`` times each Pauli on qubit ``anc``."""
+    return [
+        _expect(psi, base + tail, n, shots, seed)
+        for tail in ((), ((anc, "X"),), ((anc, "Y"),), ((anc, "Z"),))
+    ]
+
+
 def _hadamard_matrix(q, local_obs, shots, seed) -> np.ndarray:
     states = q.family_states()
     count = states.shape[0]
@@ -568,16 +577,9 @@ def _hadamard_matrix(q, local_obs, shots, seed) -> np.ndarray:
         for ip in range(i + 1, count):
             # ancilla is the new most-significant qubit: first half anc=0
             joint = np.concatenate([states[i], states[ip]]) / math.sqrt(2.0)
-            anc = n
-            e_i = _expect(joint, base, n + 1, shots_each, seed)
-            e_x = _expect(joint, base + ((anc, "X"),), n + 1, shots_each, seed)
-            e_y = _expect(joint, base + ((anc, "Y"),), n + 1, shots_each, seed)
-            e_z = _expect(joint, base + ((anc, "Z"),), n + 1, shots_each, seed)
-            off = e_x - 1j * e_y  # = <psi^{i'}|O|psi^{i}>
-            raw[ip, i] = coeff * off
-            raw[i, ip] = coeff * np.conj(off)
-            raw[i, i] = coeff * (e_i + e_z)
-            raw[ip, ip] = coeff * (e_i - e_z)
+            comps = _ancilla_components(joint, base, n, n + 1, shots_each, seed)
+            pair = reconstruct_from_pauli(*comps).entries  # half the (i, ip) block
+            raw[np.ix_((i, ip), (i, ip))] = coeff * (2 * pair)
     return raw
 
 
@@ -596,13 +598,9 @@ def _superposition_matrix(q, local_obs, shots, seed) -> np.ndarray:
     def run(init):
         return apply_circuit_array(init, circuit, params)
 
-    diag = np.zeros(count)
     states = q.family_states()
-    for i in range(count):
-        diag[i] = _expect(states[i], base, n, shots_each, seed)
-    raw = np.zeros((count, count), dtype=complex)
-    for i in range(count):
-        raw[i, i] = diag[i]
+    diag = [_expect(states[i], base, n, shots_each, seed) for i in range(count)]
+    raw = np.diag(np.array(diag, dtype=complex))
     for i in range(count):
         for ip in range(i + 1, count):
             bi, bip = int(q.initial_bits[i], 2), int(q.initial_bits[ip], 2)
@@ -629,12 +627,8 @@ def _open_index_matrix(q, local_obs, shots, seed) -> np.ndarray:
     n = q.num_qubits
     base = tuple(local_obs.factors)
     shots_each = max(1, shots // 4) if shots else 0
-    e_i = _expect(psi, base, n, shots_each, seed)
-    e_x = _expect(psi, base + ((anc, "X"),), n, shots_each, seed)
-    e_y = _expect(psi, base + ((anc, "Y"),), n, shots_each, seed)
-    e_z = _expect(psi, base + ((anc, "Z"),), n, shots_each, seed)
-    recon = reconstruct_from_pauli(e_i, e_x, e_y, e_z).entries
-    return local_obs.coefficient * recon
+    comps = _ancilla_components(psi, base, anc, n, shots_each, seed)
+    return local_obs.coefficient * reconstruct_from_pauli(*comps).entries
 
 
 def branch_matrix_raw(
@@ -694,11 +688,8 @@ def reconstruct_from_pauli(
     the off-diagonal come out as M[0,1] = (E(X) + i E(Y)) / 2, matching the
     basis expansion |0><1| = (X + iY)/2.
     """
-    eye = np.eye(2, dtype=complex)
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
-    m = 0.5 * (e_identity * eye + e_x * x - e_y * y + e_z * z)
+    x, y, z = (PAULI_MATRICES[letter] for letter in "XYZ")
+    m = 0.5 * (e_identity * np.eye(2, dtype=complex) + e_x * x - e_y * y + e_z * z)
     return HermitianObservable.hermitized(m)
 
 
@@ -746,23 +737,26 @@ def _site_op(op, dim):
     return op
 
 
+def _left_env(bra: MpsTensor, ket: MpsTensor, ops, stop: int) -> np.ndarray:
+    """Transfer matrix over sites 0 .. stop-1, after checking the inputs."""
+    if bra.num_sites != ket.num_sites:
+        raise ValueError("site counts differ")
+    if ops is not None and len(ops) != bra.num_sites:
+        raise ValueError("one operator slot per site expected")
+    env = np.ones((1, 1), dtype=complex)
+    for site in range(stop):
+        cb, ck = bra.cores[site], ket.cores[site]
+        op = _site_op(None if ops is None else ops[site], cb.shape[1])
+        env = np.einsum("...ac,apb,...pq,cqd->...bd", env, cb.conj(), op, ck)
+    return env
+
+
 def mps_general_expectation(bra: MpsTensor, ket: MpsTensor, ops):
     """<bra| O_1 (x) ... (x) O_n |ket> via left-to-right transfer matrices.
 
     Operators of shape (..., d, d) broadcast their batch axes into the result.
     """
-    if bra.num_sites != ket.num_sites:
-        raise ValueError("site counts differ")
-    if ops is None:
-        ops = [None] * bra.num_sites
-    if len(ops) != bra.num_sites:
-        raise ValueError("one operator slot per site expected")
-    env = np.ones((1, 1), dtype=complex)
-    for site in range(bra.num_sites):
-        cb, ck = bra.cores[site], ket.cores[site]
-        op = _site_op(ops[site], cb.shape[1])
-        env = np.einsum("...ac,apb,...pq,cqd->...bd", env, cb.conj(), op, ck)
-    out = env[..., 0, 0]
+    out = _left_env(bra, ket, ops, bra.num_sites)[..., 0, 0]
     return complex(out) if out.ndim == 0 else out
 
 
@@ -780,19 +774,11 @@ def mps_open_site_matrix(
     the other sites (entries at ``open_site`` are ignored); batched
     operators give M[..., p', p].
     """
-    if bra.num_sites != ket.num_sites:
-        raise ValueError("site counts differ")
-    if ops is None:
-        ops = [None] * bra.num_sites
-    left = np.ones((1, 1), dtype=complex)
-    for site in range(open_site):
-        cb, ck = bra.cores[site], ket.cores[site]
-        op = _site_op(ops[site], cb.shape[1])
-        left = np.einsum("...ac,apb,...pq,cqd->...bd", left, cb.conj(), op, ck)
+    left = _left_env(bra, ket, ops, open_site)
     right = np.ones((1, 1), dtype=complex)
     for site in range(bra.num_sites - 1, open_site, -1):
         cb, ck = bra.cores[site], ket.cores[site]
-        op = _site_op(ops[site], cb.shape[1])
+        op = _site_op(None if ops is None else ops[site], cb.shape[1])
         right = np.einsum("apb,...pq,cqd,...bd->...ac", cb.conj(), op, ck, right)
     cb, ck = bra.cores[open_site], ket.cores[open_site]
     return np.einsum("...ac,apb,cqd,...bd->...pq", left, cb.conj(), ck, right)

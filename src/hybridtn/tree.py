@@ -55,7 +55,7 @@ from .pauli import (
     parity_signs,
     pauli_word_masks,
 )
-from .statevector import Circuit, PAULI_MATRICES, _apply_1q
+from .statevector import Circuit, PAULI_MATRICES, _apply_1q, apply_pauli_array
 from .tensors import (
     MpsTensor,
     QuantumTensor,
@@ -388,8 +388,7 @@ class _Pass:
             order = sorted(range(len(kids)), key=lambda c: not plain[c])
         else:
             bra, ket = bra[rows_b], ket[rows_k]
-            for qubit, letter in factors:
-                ket = _apply_1q(ket, PAULI_MATRICES[letter], qubit, n)
+            ket = apply_pauli_array(ket, factors, n)
             for (qubit, mat), is_plain in zip(kids, plain):
                 if is_plain:
                     ket = _apply_1q(ket, mat[0, 0], qubit, n)

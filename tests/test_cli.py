@@ -153,6 +153,17 @@ def test_config_rejects_delta_whose_square_leaves_the_floats(tmp_path, capsys, d
         assert config_from_dict(minimal_config(ite={"delta": ok})).ite.delta == ok
 
 
+@pytest.mark.parametrize("step", [{"dtau_cap": 0.0}, {"dtau_grow": 0.5}])
+def test_config_rejects_step_controls_that_fake_convergence(tmp_path, capsys, step):
+    data = minimal_config(ite={"reg": 1e-2, "max_iters": 50, **step})
+    config_path = write_config(tmp_path, data)
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert f"ite: {next(iter(step))}" in capsys.readouterr().err
+    assert not (tmp_path / "result.json").exists()
+    for ok in ({"dtau_cap": 1e-6}, {"dtau_cap": 0.01}, {"dtau_grow": 1.0}):
+        config_from_dict(minimal_config(ite=ok))
+
+
 def test_seed_override_reaches_both_config_levels():
     config = config_from_dict(minimal_config())
     bumped = with_seed(config, 9)
@@ -400,6 +411,13 @@ def test_verify_verb_rejects_negative_shots(capsys):
         main(["verify", "--shots", "-5"])
     assert exc.value.code == 2
     assert "--shots" in capsys.readouterr().err
+
+
+def test_verify_verb_rejects_negative_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--seed", "-20"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_trajectory_floats_round_trip_via_repr(tmp_path):

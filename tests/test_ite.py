@@ -351,7 +351,8 @@ def test_circuit_problem_rejects_register_mismatch():
 
 
 def test_config_rejects_bad_values_and_keeps_defaults():
-    for bad in (dict(delta=0.0), dict(dtau0=-0.1), dict(reg=-1e-9)):
+    for bad in (dict(delta=0.0), dict(dtau0=-0.1), dict(reg=-1e-9),
+                dict(dtau_cap=0.0), dict(dtau_grow=0.5)):
         with pytest.raises(ValueError):
             IteConfig(**bad)
     config = IteConfig()

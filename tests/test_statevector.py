@@ -1,5 +1,6 @@
 """Gate kernels against dense matrix oracles, ansatz structure, sampling."""
 
+import itertools
 import math
 
 import numpy as np
@@ -90,24 +91,26 @@ def test_rx_pi_flips():
 
 def test_kernels_match_dense_embeddings():
     rng = np.random.default_rng(5)
-    n = 3
-    ops = [
-        GateOp("RX", (0,), angle=0.3),
-        GateOp("RY", (1,), angle=-1.2),
-        GateOp("RZ", (2,), angle=2.1),
-        GateOp("H", (1,)),
-        GateOp("X", (2,)),
-        GateOp("CNOT", (0, 2)),
-        GateOp("CNOT", (2, 0)),
-        GateOp("CNOT", (1, 2)),
-        GateOp("RZZ", (0, 2), angle=0.8),
-        GateOp("RZZ", (2, 1), angle=-0.4),
-    ]
-    for op in ops:
-        amps = random_state(rng, n)
-        got = apply_op_array(amps, op, None, n)
-        want = dense_op(op, None, n) @ amps
-        np.testing.assert_allclose(got, want, atol=1e-12, err_msg=str(op))
+    params = np.array([0.37])
+    for n in range(1, 6):
+        ops = [GateOp(kind, (q,)) for kind in ("H", "X") for q in range(n)]
+        for kind in ("RX", "RY", "RZ"):
+            for q in range(n):  # fixed angles and a parameter slot
+                ops.append(GateOp(kind, (q,), angle=float(rng.uniform(-np.pi, np.pi))))
+                ops.append(GateOp(kind, (q,), param=0))
+        for pair in itertools.permutations(range(n), 2):
+            ops.append(GateOp("CNOT", pair))
+            ops.append(GateOp("RZZ", pair, angle=float(rng.uniform(-np.pi, np.pi))))
+            ops.append(GateOp("RZZ", pair, param=0))
+        for op in ops:
+            dense = dense_op(op, params, n)
+            amps = random_state(rng, n)
+            got = apply_op_array(amps, op, params, n)
+            np.testing.assert_allclose(got, dense @ amps, atol=1e-12, err_msg=str(op))
+            batch = np.stack([random_state(rng, n) for _ in range(6)]).reshape(2, 3, -1)
+            got = apply_op_array(batch, op, params, n)
+            assert got.shape == batch.shape
+            np.testing.assert_allclose(got, batch @ dense.T, atol=1e-12, err_msg=str(op))
 
 
 def test_kernels_batched_leading_axes():
@@ -188,6 +191,14 @@ def test_sampling_eigenstate_is_exact():
     term = PauliTerm(1.0, ((0, "Z"),))
     # |01> has qubit 0 set, so Z0 measures -1 on every shot
     assert sample_pauli_expectation(state, term, shots=13, seed=0) == -1.0
+    # the Bell state (|00> + |11>)/sqrt(2) is an eigenstate of XX, YY and ZZ
+    bell = StateVector(2, np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0))
+    for letter, eigenvalue in (("X", 1.0), ("Y", -1.0), ("Z", 1.0)):
+        term = PauliTerm(1.0, ((0, letter), (1, letter)))
+        for shots in (1, 7, 1000):
+            for seed in range(3):
+                got = sample_pauli_expectation(bell, term, shots=shots, seed=seed)
+                assert got == eigenvalue, (letter, shots, seed)
 
 
 def test_sampling_deterministic_and_unbiased():

@@ -361,3 +361,9 @@ def test_mps_from_product():
 def test_mps_shape_validation():
     with pytest.raises(ValueError):
         MpsTensor((np.zeros((2, 2, 1)),))  # boundary bond must be 1
+    m = random_mps(3, 2, seed=4)
+    for ops in ([None] * 2, [None] * 4):  # one slot per site, no more, no fewer
+        with pytest.raises(ValueError, match="one operator slot per site"):
+            mps_open_site_matrix(m, m, 0, ops)
+        with pytest.raises(ValueError, match="one operator slot per site"):
+            mps_general_expectation(m, m, ops)
