@@ -14,7 +14,9 @@ result echoes the complete effective configuration, and exact-mode runs
 are byte-deterministic for a fixed config and seed.
 
 Exit codes: 0 success, 2 config error, 3 oracle limit, 4 optimizer did
-not converge (results are still written).
+not converge (results are still written; stderr says why it stopped:
+"max_iters", "stalled", or a metric, gradient or energy that turned
+non-finite).
 """
 
 from __future__ import annotations
@@ -310,8 +312,9 @@ def _error_text(report: dict) -> str:
     return f"  rel_error {report['rel_error']:.3e}"
 
 
-def run_point(config: ExperimentConfig, lam: float, out_dir: Path) -> dict:
-    """One optimization job; returns the result payload it wrote."""
+def run_point(config: ExperimentConfig, lam: float, out_dir: Path) -> tuple[dict, str]:
+    """One optimization job; returns the result payload it wrote and why
+    the optimizer stopped."""
     out_dir.mkdir(parents=True, exist_ok=True)
     h, _layout = build_model(config, lam)
     (out_dir / "hamiltonian.txt").write_text(hamiltonian_to_text(h))
@@ -329,7 +332,7 @@ def run_point(config: ExperimentConfig, lam: float, out_dir: Path) -> dict:
         "oracle": _oracle_report(h, float(result.energy)),
     }
     write_json(out_dir / "result.json", payload)
-    return payload
+    return payload, result.stop_reason
 
 
 def _require_scalar_lambda(config: ExperimentConfig) -> float:
@@ -345,14 +348,14 @@ def _require_scalar_lambda(config: ExperimentConfig) -> float:
 
 def cmd_run(config: ExperimentConfig, out_dir: Path) -> int:
     lam = _require_scalar_lambda(config)
-    payload = run_point(config, lam, out_dir)
+    payload, stop_reason = run_point(config, lam, out_dir)
     oracle = payload["oracle"]
     line = f"energy {payload['energy']!r}"
     if oracle["status"] == "ok":
         line += _error_text(oracle)
     print(line)
     if not payload["converged"]:
-        print("optimizer did not converge", file=sys.stderr)
+        print(f"optimizer did not converge: {stop_reason}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
@@ -395,7 +398,8 @@ def cmd_sweep(config: ExperimentConfig, out_dir: Path) -> int:
     jobs = [
         (index, lam, out_dir / f"point_{index:02d}") for index, lam in enumerate(lams)
     ]
-    payloads = [run_point(config, lam, job_dir) for _, lam, job_dir in jobs]
+    points = [run_point(config, lam, job_dir) for _, lam, job_dir in jobs]
+    payloads = [payload for payload, _ in points]
 
     summary = []
     for (index, lam, job_dir), payload in zip(jobs, payloads):
@@ -420,6 +424,9 @@ def cmd_sweep(config: ExperimentConfig, out_dir: Path) -> int:
         print(line)
     if not all(p["converged"] for p in payloads):
         print("one or more sweep points did not converge", file=sys.stderr)
+        for (index, _, _), (payload, stop_reason) in zip(jobs, points):
+            if not payload["converged"]:
+                print(f"  point {index}: {stop_reason}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 

@@ -24,11 +24,16 @@ which evaluates every tree exactly, always does so.  All perturbed
 states of one circuit are simulated together in a single sweep (each
 rotation gate obeys G(t + d) = G(d) G(t), so a perturbed row is the
 shared sweep plus one extra fixed-angle gate; a row joins the sweep at
-its slot's first gate, as a copy of the base row).  A perturbed state differs from the base in
-one node, so the tree contraction of :mod:`hybridtn.tree` with that node
-open yields a whole block of the stencil: one contraction per unordered
-node pair gives the overlaps (the reversed pair is its conjugate
-transpose), one per (term, node) the energies.
+its slot's first gate, as a copy of the base row).  A perturbed state
+differs from the base in one node, so the tree contraction of
+:mod:`hybridtn.tree` with that node open yields a whole block of the
+stencil: one contraction per unordered node pair gives the overlaps (the
+reversed pair is its conjugate transpose), and one per node the energies,
+whose terms are summed into the node's environment before its perturbed
+rows are contracted.  The flow system is solved by Cholesky, with a
+least-squares fallback when A + reg I is not numerically positive
+definite; a non-finite metric, gradient or energy ends the run with a
+stated reason.
 """
 
 from __future__ import annotations
@@ -88,11 +93,39 @@ def gradient_c(problem, params, delta: float) -> np.ndarray:
     return 0.5 * (np.asarray(evec) - e0) / delta
 
 
+def _lower_solve(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve low x = rhs for lower-triangular ``low`` by block substitution.
+
+    numpy has no triangular solver; 64-row blocks keep its O(p**3) general
+    solve to the diagonal blocks and the rest to matrix-vector products.
+    """
+    x = rhs.copy()
+    for start in range(0, len(x), 64):
+        end = start + 64
+        x[start:end] -= low[start:end, :start] @ x[:start]
+        x[start:end] = np.linalg.solve(low[start:end, start:end], x[start:end])
+    return x
+
+
 def flow_direction(a: np.ndarray, c: np.ndarray, reg: float) -> np.ndarray:
-    """Least-squares solution of (A + reg I) theta_dot = -C."""
+    """Solution of (A + reg I) theta_dot = -C.
+
+    A positive definite system is solved through its Cholesky factor
+    L L^T; one the factorization refuses (``reg`` = 0 on a singular metric,
+    or a numerically indefinite one) gets the minimum-norm least-squares
+    solution.  A non-finite A or C raises FloatingPointError.
+    """
+    if not (np.isfinite(a).all() and np.isfinite(c).all()):
+        raise FloatingPointError("non-finite metric or gradient")
     lhs = a + reg * np.eye(len(c))
-    theta_dot, *_ = np.linalg.lstsq(lhs, -c, rcond=None)
-    return theta_dot
+    try:
+        low = np.linalg.cholesky(lhs)
+    except np.linalg.LinAlgError:
+        theta_dot, *_ = np.linalg.lstsq(lhs, -c, rcond=None)
+        return theta_dot
+    # L^T is lower triangular in reversed index order
+    y = _lower_solve(low, -c)
+    return _lower_solve(low.T[::-1, ::-1], y[::-1])[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +191,9 @@ class IteResult:
     converged: bool
     iterations: int
     trajectory: tuple[IteRecord, ...]
+    # why the run ended: "converged", "stalled", "max_iters", or what turned
+    # non-finite; not part of the written results
+    stop_reason: str
 
 
 def ite_step(problem, state: IteState, config: IteConfig) -> IteState:
@@ -166,7 +202,8 @@ def ite_step(problem, state: IteState, config: IteConfig) -> IteState:
     Solves (A + reg I) theta_dot = -C at the current parameters, then
     proposes params + dtau * theta_dot, halving dtau until the energy
     stops increasing; on acceptance dtau grows gently for the next step.
-    A rejected step leaves parameters and energy unchanged.
+    A rejected step leaves parameters and energy unchanged.  A non-finite
+    metric, gradient or candidate energy raises FloatingPointError.
     """
     a = metric_a(problem, state.params, config.delta)
     c = gradient_c(problem, state.params, config.delta)
@@ -175,6 +212,8 @@ def ite_step(problem, state: IteState, config: IteConfig) -> IteState:
     for _ in range(config.max_retries + 1):
         cand = state.params + dtau * theta_dot
         e_new = float(problem.energy(cand))
+        if not np.isfinite(e_new):
+            raise FloatingPointError("non-finite energy at a candidate step")
         if e_new <= state.energy + ACCEPT_SLACK:
             return IteState(
                 params=cand,
@@ -207,7 +246,12 @@ def initial_parameters(num_params: int, seed: int, scale: float = 0.1) -> np.nda
 
 
 def run_ite(problem, config: IteConfig = IteConfig(), init_params=None) -> IteResult:
-    """Iterate the flow until the energy is flat over a trailing window."""
+    """Iterate the flow until the energy is flat over a trailing window.
+
+    The run also ends when the step stalls below ``dtau_min``, after
+    ``max_iters`` steps, or when a metric, gradient or energy turns
+    non-finite; ``stop_reason`` says which.
+    """
     if init_params is None:
         params = initial_parameters(problem.num_params, config.seed, config.init_scale)
     else:
@@ -219,14 +263,19 @@ def run_ite(problem, config: IteConfig = IteConfig(), init_params=None) -> IteRe
     )
     records = [IteRecord(0, 0.0, config.dtau0, state.energy, True, 0.0)]
     flat = 0
-    converged = False
-    iteration = 0
-    for iteration in range(1, config.max_iters + 1):
-        new_state = ite_step(problem, state, config)
+    reason = None
+    if not np.isfinite(state.energy):
+        reason = "non-finite energy at the initial parameters"
+    while reason is None and len(records) <= config.max_iters:
+        try:
+            new_state = ite_step(problem, state, config)
+        except FloatingPointError as exc:
+            reason = str(exc)
+            break
         grad_norm = float(np.linalg.norm(new_state.c_vector))
         records.append(
             IteRecord(
-                iteration,
+                len(records),
                 new_state.tau,
                 new_state.last_dtau,
                 new_state.energy,
@@ -240,15 +289,19 @@ def run_ite(problem, config: IteConfig = IteConfig(), init_params=None) -> IteRe
                 if abs(new_state.energy - state.energy) < config.conv_tol
                 else 0
             )
-            state = new_state
             if flat >= config.conv_window:
-                converged = True
-                break
-        else:
-            state = new_state
-            if state.dtau < config.dtau_min:
-                break  # stalled: no descent direction at the smallest step
-    return IteResult(state.params, state.energy, converged, iteration, tuple(records))
+                reason = "converged"
+        elif new_state.dtau < config.dtau_min:
+            reason = "stalled"  # no descent direction at the smallest step
+        state = new_state
+    return IteResult(
+        state.params,
+        state.energy,
+        reason == "converged",
+        len(records) - 1,
+        tuple(records),
+        reason or "max_iters",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -404,31 +457,27 @@ class TreeProblem:
         s_vec = np.empty(p, dtype=complex)
         for at, (u, su) in enumerate(self._open):
             for v, sv in self._open[at:]:
-                blk = run.block(0, None, u, v)[:, :, 0, 0]
+                blk = run.block(0, u, v)[:, :, 0, 0]
                 s_mat[su, sv] = blk[1:, 1:]
                 s_mat[sv, su] = blk[1:, 1:].conj().T
                 if v == u:
                     s_vec[su] = blk[0, 1:]
         first = self._open[0][0] if self._open else None  # row 0 is the base
-        n0 = complex(run.block(0, None, first, first)[0, 0, 0, 0])
+        n0 = complex(run.block(0, first, first)[0, 0, 0, 0])
         return s_mat, s_vec, n0
 
     def _energies_fd(self, params, delta):
         """Base energy and all single-slot forward-perturbed energies.
 
-        One pass per (term, node): the node is open on both sides, so its
-        paired rows give the term's expectation in every perturbed state.
+        One row-carrying contraction per open node: its environment, summed
+        over the terms, against its blocks in every perturbed row.
         """
         params = np.asarray(params, dtype=float)
         run = self._fd_pass(params, delta)
-        e0 = 0.0
-        evec = np.zeros(self.num_params)
-        first = self._open[0][0] if self._open else None  # row 0 is the base
-        for coeff, locals_ in self.factors:
-            e0 += coeff * run.block(0, locals_, first, first)[0, 0, 0, 0].real
-            for u, su in self._open:
-                evec[su] += coeff * run.block(0, locals_, u, u)[1:, 0, 0, 0].real
-        return float(e0), evec
+        evec = np.empty(self.num_params)
+        for u, su in self._open:
+            evec[su] = run.term_sum(u)[1:].real
+        return run.term_sum().real, evec
 
 
 def run_ite_tree(

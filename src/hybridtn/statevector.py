@@ -109,10 +109,17 @@ def init_basis_state(num_qubits: int, bits: str) -> StateVector:
 # array-level kernels (batched over any leading dimensions)
 
 def _apply_1q(amps: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
-    lead = amps.shape[:-1]
-    a = amps.reshape(-1, 2 ** (n - 1 - q), 2, 2**q)
-    out = np.einsum("ab,xpbq->xpaq", mat, a)
-    return out.reshape(lead + (2**n,))
+    """``mat`` on qubit q as a two-slice update: out_i = m_i0 a_0 + m_i1 a_1.
+
+    a_0 and a_1 are the halves of the (..., 2**(n-1-q), 2, 2**q) view.  A
+    stack of matrices (..., 2, 2) broadcasts its leading axes against those
+    of ``amps``.
+    """
+    a = amps.reshape(amps.shape[:-1] + (2 ** (n - 1 - q), 1, 2, 2**q))
+    m = mat[..., None, :, :, None]  # (..., 1, out index, in index, 1)
+    out = m[..., 0, :] * a[..., 0, :]
+    out += m[..., 1, :] * a[..., 1, :]
+    return out.reshape(out.shape[:-3] + (2**n,))
 
 
 @functools.lru_cache(maxsize=None)

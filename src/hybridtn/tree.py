@@ -18,19 +18,32 @@ three two-layer variants are
 
 Every tree quantity -- expectation, energy, overlap, transition element,
 and the perturbed states of the imaginary-time stencil -- comes from one
-bottom-up contraction (:class:`_Pass`).  Each node is reduced to a block
-<bra family| O |ket family> over its upward index, batched over bra and
-ket rows: a node whose family is a stack of perturbed rows is *open*,
-and its rows travel up to the root (paired, under an observable, when
-the node is open on both sides).  A quantum leaf serves every block as a
-slice of one Gram GEMM and one pass of local-word blocks over its rows.
-A quantum parent reduces its own states on its children's qubits and
-absorbs each child's block into that reduction by one GEMM; an MPS
-parent takes the blocks as batched site operators.  Blocks are cached
-per (node, local observable, open nodes below), so repeated Hamiltonian
-factors are measured once and unperturbed subtrees are shared; an
-:class:`EvalCounters` passed in by the caller observes the number of
-quantum- and classical-node evaluations actually performed.  The
+bottom-up contraction (:class:`_Pass`).  A node whose family is a stack
+of perturbed rows is *open*.
+
+* Overlaps reduce each node to a block <bra family|ket family> over its
+  upward index, batched over bra and ket rows, and the open rows travel
+  up to the root.  A quantum leaf's blocks are slices of one Gram GEMM; a
+  quantum parent applies its row-less children's blocks to its states and
+  absorbs the others into one reduction on their qubits, one GEMM each.
+* Observables are Hamiltonian term sums.  The contraction is linear in
+  each block, so every node keeps its base block under each of its
+  *local words* (the distinct restrictions of the terms to the subsystems
+  below it) in one word-batched array: a quantum leaf measures all its
+  words in one pass over its rows, a quantum parent applies its
+  children's word-batched blocks to its states, an MPS node takes them as
+  batched site operators.  The environment step of tree tensor-network
+  sweeps (Shi, Duan & Vidal, arXiv:quant-ph/0511070) then goes down the
+  tree: a node's environment is the rest of the tree with its block left
+  out, summed with the coefficients over the terms that share its local
+  word.  One contraction of an open node's environment with its blocks in
+  every perturbed row gives all of that node's perturbed energies; at a
+  quantum parent the environment becomes one effective operator on the
+  parent's register.
+
+An :class:`EvalCounters` passed in by the caller counts the measurements
+the paper's algorithm makes: one per (quantum node, distinct local
+observable) and one per overlap block, likewise for classical nodes.  The
 contraction is exact; measuring one branch observable on a register,
 sampled or not, is :func:`~hybridtn.tensors.measure_branch_observable`.
 
@@ -55,7 +68,7 @@ from .pauli import (
     parity_signs,
     pauli_word_masks,
 )
-from .statevector import Circuit, PAULI_MATRICES, _apply_1q, apply_pauli_array
+from .statevector import Circuit, PAULI_MATRICES, _apply_1q
 from .tensors import (
     MpsTensor,
     QuantumTensor,
@@ -149,6 +162,9 @@ def _preorder(node: TreeNode):
 
 @dataclass
 class EvalCounters:
+    """Node evaluations: one per (node, distinct local observable) measured
+    for a term sum, one per block of an overlap."""
+
     quantum_evals: int = 0
     classical_evals: int = 0
 
@@ -195,19 +211,18 @@ def _obs_blocks(b: np.ndarray, groups, bra: np.ndarray | None = None) -> np.ndar
     return out.reshape(num_words, rows, labels, labels)
 
 
-# entries of the base-state reduction a quantum parent keeps (4**q for q
-# children); a larger parent applies its unperturbed child blocks to its
-# amplitudes on every call instead
-_REDUCTION_MAX = 4**6
+# identity and the Pauli matrices, indexed by _PAULI_CODE
+_PAULI_STACK = np.stack([np.eye(2)] + [PAULI_MATRICES[c] for c in "XYZ"]).astype(complex)
+_PAULI_CODE = {"X": 1, "Y": 2, "Z": 3}
 
 
-def _reduce(bra, ket, qubits, n: int, paired: bool) -> np.ndarray:
+def _reduce(bra, ket, qubits, n: int) -> np.ndarray:
     """Reduction of a quantum parent's states on its children's qubits.
 
     D[a, b, x, y, x_0 .. x_q-1, y_0 .. y_q-1] =
     <bra[a, x]| (|x_0><y_0| on qubits[0]) ... |ket[b, y]> for row stacks
     bra (A, l, 2**n) and ket (B, m, 2**n), by one GEMM over the other
-    qubits.  ``paired`` pairs bra row r with ket row r into D[r, 0].
+    qubits.
     """
     q = len(qubits)
     # axis n - t of the (rows, (2,) * n) view holds qubit t
@@ -219,11 +234,8 @@ def _reduce(bra, ket, qubits, n: int, paired: bool) -> np.ndarray:
         return t.reshape(amps.shape[:2] + (2**q, -1))
 
     b, k = split(bra).conj(), split(ket)
-    if paired:
-        d = np.einsum("alxn,amyn->almxy", b, k)[:, None]
-    else:
-        d = b.reshape(-1, b.shape[-1]) @ k.reshape(-1, k.shape[-1]).T
-        d = d.reshape(b.shape[:3] + k.shape[:3]).transpose(0, 3, 1, 4, 2, 5)
+    d = b.reshape(-1, b.shape[-1]) @ k.reshape(-1, k.shape[-1]).T
+    d = d.reshape(b.shape[:3] + k.shape[:3]).transpose(0, 3, 1, 4, 2, 5)
     return d.reshape(d.shape[:4] + (2,) * (2 * q))
 
 
@@ -233,28 +245,85 @@ def _absorb(d: np.ndarray, mat: np.ndarray) -> np.ndarray:
     Each row axis comes from one operand at most.
     """
     (ad, bd, size, k), (am, bm, _) = d.shape, mat.shape
-    if am == bm == 1:
-        return d @ mat[0, 0]
     if am > 1 < ad or bm > 1 < bd:
         raise ValueError("a row axis comes from more than one node")
     p = (mat.reshape(-1, k) @ d.reshape(-1, k).T).reshape(am, bm, ad, bd, size)
     return p.transpose(0, 2, 1, 3, 4).reshape(am * ad, bm * bd, size)
 
 
+def _apply_ops(amps: np.ndarray, ops: dict, n: int) -> np.ndarray:
+    """Per-word factors {qubit: (words, 2, 2)} on amps (l, 2**n): (words, l, 2**n)."""
+    for qubit, mats in ops.items():
+        amps = _apply_1q(amps, mats[:, None], qubit, n)
+    return amps
+
+
+def _effective_rows(env: np.ndarray, ops: dict, bra: np.ndarray, ket: np.ndarray):
+    """sum_w env[w, x, y] <bra[r, x]| (x)_q ops[q][w] |ket[r, y]> for every row r.
+
+    The environment acts as one effective operator on the register,
+    sum_w env[w] (x) hi_w (x) lo_w, where hi_w and lo_w kron the word's
+    factors on the high and the low half of the qubits.  It is built one
+    high-half output index at a time, by a GEMM over the words, and applied
+    at once, so it never takes more than l**2 2**n 2**(n/2) entries instead
+    of the whole operator's l**2 4**n.
+    """
+    (count, l), (rows, _, dim) = env.shape[:2], ket.shape
+    n = dim.bit_length() - 1
+
+    def kron(qubits):  # most significant qubit first
+        acc = np.ones((count, 1, 1), dtype=complex)
+        for q in qubits:
+            d = 2 * acc.shape[1]
+            acc = np.einsum("wab,wcd->wacbd", acc, ops[q]).reshape(count, d, d)
+        return acc
+
+    half = n // 2
+    hi, lo = kron(range(n - 1, half - 1, -1)), kron(range(half - 1, -1, -1))
+    d_hi, d_lo = 2 ** (n - half), 2**half
+    kets = ket.reshape(rows, l * dim)
+    bras = bra.conj().reshape(rows, l, d_hi, d_lo)
+    out = np.zeros(rows, dtype=complex)
+    for a in range(d_hi):
+        left = (env[:, :, :, None] * hi[:, None, None, a]).reshape(count, l * l * d_hi)
+        k = (left.T @ lo.reshape(count, d_lo * d_lo)).reshape(l, l, d_hi, d_lo, d_lo)
+        k = k.transpose(0, 3, 1, 2, 4).reshape(l * d_lo, l * dim)  # (x, A_lo), (y, B)
+        kx = (kets @ k.T).reshape(rows, l, d_lo)
+        out += np.einsum("rxa,rxa->r", bras[:, :, a], kx)
+    return out
+
+
+class _Words(NamedTuple):
+    """A node's local words: the distinct restrictions of the pass's terms
+    to the subsystems below it, in sorted order."""
+
+    count: int
+    of_term: np.ndarray  # word index of every term
+    of_parent: np.ndarray | None  # word index under each word of the parent
+    paulis: dict  # physical qubit or site -> (count, 2, 2) Pauli factors
+    compiled: tuple | None  # a quantum leaf's words, compiled for _obs_blocks
+
+
 class _Pass:
     """One bottom-up contraction of <bra tree| . |ket tree>.
 
-    :meth:`block` gives node i's block (A, B, l_bra, l_ket) over its upward
-    index, nodes numbered in pre-order; the root's is (A, B, 1, 1).  Each
-    quantum node's family is a row stack (rows, labels, 2**n) whose row 0
-    is the family itself: ``stacks`` may supply them (the flow stencil's
-    perturbed rows), the others are the one-row family states.  The node
-    ``bra_open`` takes all rows of its bra stack and every other node row
-    0, likewise on the ket side, so A and B are 1 or an open node's row
-    count.  Under an observable a node open on both sides pairs its rows:
-    row r of the result is the expectation in the r-th family.
-    ``factors`` lists the (coefficient, factor tuple) terms asked for, so
-    a quantum leaf measures all its local words in one pass.
+    Each quantum node's family is a row stack (rows, labels, 2**n) whose
+    row 0 is the family itself: ``stacks`` may supply them (the flow
+    stencil's perturbed rows), the others are the one-row family states.
+    Nodes are numbered in pre-order.
+
+    Overlaps: :meth:`block` gives node i's block (A, B, l_bra, l_ket) over
+    its upward index; the root's is (A, B, 1, 1).  The node ``bra_open``
+    takes all rows of its bra stack and every other node row 0, likewise
+    on the ket side, so A and B are 1 or an open node's row count.
+
+    Observables: ``factors`` lists the (coefficient, factor tuple) terms.
+    With ``terms`` set, :meth:`block` gives node i's row-0 blocks under
+    each of its local words at once, (words, l_bra, l_ket): a quantum leaf
+    measures all its words in one pass, and a parent applies its
+    children's blocks word-batched.  :meth:`env` goes down the tree with
+    the coefficients, and :meth:`term_sum` contracts a node's environment
+    with its blocks, for the base state or for every row of an open node.
     """
 
     def __init__(
@@ -269,8 +338,9 @@ class _Pass:
         if any(len(f) != ket.layout.num_subsystems for _, f in factors):
             raise ValueError("observable factor count does not match the layout")
         self.factors = factors
+        self.coeffs = np.array([c for c, _ in factors], dtype=float)
         self.counters = counters if counters is not None else EvalCounters()
-        self.words = {} if words is None else words  # compiled, per leaf
+        self.words = {} if words is None else words  # _Words per node
         self.ket_nodes = list(_preorder(ket.root))
         self.ket_stacks = dict(stacks or {})
         if bra is ket:
@@ -282,17 +352,20 @@ class _Pass:
                     na.children
                 ) != len(nb.children):
                     raise ValueError("overlap requires structurally identical trees")
-        # children[i] lists (attach, child index); node i's subtree is
-        # nodes i .. end[i] - 1 and covers the subsystems covered[i];
-        # physical[i] is (subsystem, physical qubits or sites) or None
-        self.children, self.end, self.physical, self.covered = [], [], [], []
+        # children[i] lists (attach, child index) and parent[i] is (parent,
+        # attach); node i's subtree is nodes i .. end[i] - 1 and covers the
+        # subsystems covered[i]; physical[i] is (subsystem, physical qubits
+        # or sites) or None
+        self.children, self.parent, self.end, self.physical, self.covered = (
+            [], [None], [], [], []
+        )
         self._index(ket.root)
         if self.covered[0] != tuple(range(ket.layout.num_subsystems)):
             raise ValueError("tree structure does not cover the subsystem layout")
         self.blocks: dict = {}
+        self.envs: dict = {}
         self.grams: dict = {}
         self.tables: dict = {}
-        self.reductions: dict = {}
 
     def _index(self, node: TreeNode) -> int:
         i = len(self.end)
@@ -308,9 +381,11 @@ class _Pass:
             physical = [s for s in range(first, payload.num_sites) if s not in attach]
         subsystem = sum(entry is not None for entry in self.physical)
         self.physical.append((subsystem, tuple(physical)) if physical else None)
-        self.children[i] = tuple(
-            (link.attach, self._index(link.node)) for link in node.children
-        )
+        kids = []
+        for link in node.children:
+            self.parent.append((i, link.attach))
+            kids.append((link.attach, self._index(link.node)))
+        self.children[i] = tuple(kids)
         covered = [subsystem] if physical else []
         for _, j in self.children[i]:
             covered.extend(self.covered[j])
@@ -318,131 +393,206 @@ class _Pass:
         self.end[i] = len(self.end)
         return i
 
-    def term_sum(self) -> complex:
-        """sum_t c_t <bra| O_t |ket> over the pass's terms."""
-        total = 0.0 + 0.0j
-        for coeff, locals_ in self.factors:
-            total += coeff * self.block(0, locals_)[0, 0, 0, 0]
-        return complex(total)
+    def _node_words(self, i: int) -> _Words:
+        entry = self.words.get(i)
+        if entry is not None:
+            return entry
+        covered = self.covered[i]
+        restricted = [tuple(f[s] for s in covered) for _, f in self.factors]
+        words = sorted(set(restricted))
+        col = {word: j for j, word in enumerate(words)}
+        of_term = np.array([col[word] for word in restricted], dtype=np.intp)
+        of_parent = None
+        if i:
+            parent = self._node_words(self.parent[i][0])
+            of_parent = np.empty(parent.count, dtype=np.intp)
+            of_parent[parent.of_term] = of_term
+        local = [self._local_factors(i, word) for word in words]
+        payload = self.ket_nodes[i].payload
+        compiled, paulis = None, {}
+        if isinstance(payload, QuantumTensor) and not self.children[i]:
+            compiled = _compile_words(local, payload.num_qubits)
+        elif self.physical[i] is not None:
+            codes = {pos: np.zeros(len(words), np.intp) for pos in self.physical[i][1]}
+            for j, factors in enumerate(local):
+                for pos, letter in factors:
+                    codes[pos][j] = _PAULI_CODE[letter]
+            paulis = {pos: _PAULI_STACK[c] for pos, c in codes.items()}
+        entry = _Words(len(words), of_term, of_parent, paulis, compiled)
+        self.words[i] = entry
+        return entry
 
-    def block(self, i: int, obs, bra_open: int | None = None, ket_open=None):
-        """Block of node i under the factor tuple ``obs`` (None: overlap)."""
+    def _local_factors(self, i: int, word) -> tuple[tuple[int, str], ...]:
+        """The node's subsystem factor of a local word, in payload coordinates."""
+        entry = self.physical[i]
+        if entry is None:
+            return ()
+        subsystem, physical = entry
+        own = word[self.covered[i].index(subsystem)]
+        return tuple((physical[q], letter) for q, letter in own)
+
+    def _ops(self, i: int, skip=None) -> dict:
+        """Node i's per-word factors (words, 2, 2) by qubit or site: its Pauli
+        factors and its children's blocks, bar the child attached at ``skip``."""
+        ops = dict(self._node_words(i).paulis)
+        for attach, j in self.children[i]:
+            if attach != skip:
+                ops[attach] = self.block(j, terms=True)[self._node_words(j).of_parent]
+        return ops
+
+    def term_sum(self, u: int | None = None):
+        """sum_t c_t <bra| O_t |ket> over the pass's terms.
+
+        With an open node u, the sum in every family of u's paired bra and
+        ket rows (one value per row) by one row-carrying contraction:
+        environment times u's blocks, summed over u's local words.
+        """
+        if u is None:
+            return complex(np.sum(self.env(0) * self.block(0, terms=True)))
+        env = self.env(u)
+        if not self.children[u]:
+            return np.einsum("wxy,wrxy->r", env, self._leaf_table(u))
+        return _effective_rows(env, self._ops(u), *self._states(u))
+
+    def env(self, i: int) -> np.ndarray:
+        """Node i's environment (words, l_bra, l_ket).
+
+        Entry w is the rest of the tree, with i's block left out, summed
+        with the coefficients over the terms whose local word on i is w;
+        so sum(env(i) * block(i, terms=True)) is the term sum.  At the root
+        it is the coefficients; below, the parent's hole at i's attach
+        point, summed into i's words.
+        """
+        out = self.envs.get(i)
+        if out is not None:
+            return out
+        words = self._node_words(i)
+        if i == 0:
+            out = np.bincount(words.of_term, self.coeffs, words.count)
+            out = out.astype(complex)[:, None, None]
+        else:
+            hole = self._hole(*self.parent[i])
+            out = np.zeros((words.count,) + hole.shape[1:], dtype=complex)
+            np.add.at(out, words.of_parent, hole)
+        self.envs[i] = out
+        return out
+
+    def _hole(self, p: int, attach: int) -> np.ndarray:
+        """Parent p's environment contracted with everything at p but the
+        child at ``attach``: (p's words, 2, 2) over that child's index."""
+        env = self.env(p)
+        ops = self._ops(p, skip=attach)
+        if isinstance(self.ket_nodes[p].payload, QuantumTensor):
+            (bra, *_), (ket, *_) = self._states(p)
+            n = self.ket_nodes[p].payload.num_qubits
+            x = np.broadcast_to(_apply_ops(ket, ops, n), (len(env),) + ket.shape)
+            view = (len(bra), 2 ** (n - 1 - attach), 2, 2**attach)
+            chi = (env @ x).reshape((len(env),) + view)
+            b = bra.conj().reshape(view)
+            return np.einsum("xhil,wxhjl->wij", b, chi)
+        if p == 0:
+            return self._mps(p, ops, attach) * env  # env: (words, 1, 1)
+        ops[0] = env  # the operator on p's upward leg
+        return self._mps(p, ops, attach)
+
+    def block(self, i: int, bra_open=None, ket_open=None, terms: bool = False):
+        """Node i's overlap block, or with ``terms`` its blocks per local word."""
         end = self.end[i]
         if bra_open is not None and not i <= bra_open < end:
             bra_open = None
         if ket_open is not None and not i <= ket_open < end:
             ket_open = None
-        local = None if obs is None else tuple(obs[s] for s in self.covered[i])
-        key = (i, local, bra_open, ket_open)
+        key = (i, bra_open, ket_open, terms)
         out = self.blocks.get(key)
         if out is not None:
             return out
-        kids = [
-            (attach, self.block(j, obs, bra_open, ket_open))
-            for attach, j in self.children[i]
-        ]
-        factors = self._local_factors(i, obs)
-        if isinstance(self.ket_nodes[i].payload, QuantumTensor):
-            out = self._quantum(i, obs, factors, kids, bra_open == i, ket_open == i)
-            self.counters.quantum_evals += 1
+        quantum = isinstance(self.ket_nodes[i].payload, QuantumTensor)
+        if terms:
+            if quantum and not self.children[i]:
+                out = self._leaf_table(i)[:, 0]
+            elif quantum:
+                (bra, *_), (ket, *_) = self._states(i)
+                x = _apply_ops(ket, self._ops(i), self.ket_nodes[i].payload.num_qubits)
+                out = np.einsum("xa,wya->wxy", bra.conj(), x)
+            else:
+                out = self._mps(i, self._ops(i))
+            evals = self._node_words(i).count
         else:
-            out = self._mps(i, factors, kids)
-            self.counters.classical_evals += 1
+            kids = [
+                (attach, self.block(j, bra_open, ket_open))
+                for attach, j in self.children[i]
+            ]
+            if quantum:
+                out = self._quantum(i, kids, bra_open == i, ket_open == i)
+            else:
+                out = self._mps(i, dict(kids))
+                out = out.reshape((1,) * (4 - out.ndim) + out.shape)
+            evals = 1
+        if i and out.shape[-2:] != (2, 2):
+            if isinstance(self.ket_nodes[self.parent[i][0]].payload, QuantumTensor):
+                raise ValueError("child branch index must be binary")
+        if quantum:
+            self.counters.quantum_evals += evals
+        else:
+            self.counters.classical_evals += evals
         self.blocks[key] = out
         return out
 
-    def _local_factors(self, i: int, obs) -> tuple[tuple[int, str], ...]:
-        """The node's subsystem factor in payload coordinates."""
-        entry = self.physical[i]
-        if entry is None or obs is None:
-            return ()
-        subsystem, physical = entry
-        return tuple((physical[q], letter) for q, letter in obs[subsystem])
+    def _states(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Node i's bra and ket row stacks; a node without one gets its family."""
+        sides = ((self.bra_stacks, self.bra_nodes), (self.ket_stacks, self.ket_nodes))
+        for stacks, nodes in sides:
+            if i not in stacks:
+                stacks[i] = nodes[i].payload.family_states()[None]
+        return self.bra_stacks[i], self.ket_stacks[i]
 
-    def _stack(self, stacks: dict, nodes: list, i: int) -> np.ndarray:
-        out = stacks.get(i)
-        if out is None:
-            out = stacks[i] = nodes[i].payload.family_states()[None]
-        return out
-
-    def _quantum(self, i, obs, factors, kids, bra_open, ket_open) -> np.ndarray:
-        bra = self._stack(self.bra_stacks, self.bra_nodes, i)
-        ket = self._stack(self.ket_stacks, self.ket_nodes, i)
-        rows_b = slice(None) if bra_open else slice(1)
-        rows_k = slice(None) if ket_open else slice(1)
+    def _quantum(self, i, kids, bra_open, ket_open) -> np.ndarray:
+        bra, ket = self._states(i)
         if not kids:
-            return self._leaf(i, obs, factors, bra, ket, rows_b, rows_k)
-        for _, mat in kids:
-            if mat.shape[2:] != (2, 2):
-                raise ValueError("child branch index must be binary")
-        plain = [mat.shape[:2] == (1, 1) for _, mat in kids]  # no open rows below
-        n = self.ket_nodes[i].payload.num_qubits
-        if not (bra_open or ket_open or factors) and 4 ** len(kids) <= _REDUCTION_MAX:
-            # the base states' reduction on every child qubit is shared by
-            # all observables and open nodes; plain children go in first
-            d = self.reductions.get(i)
-            if d is None:
-                d = self.reductions[i] = _reduce(
-                    bra[:1], ket[:1], [q for q, _ in kids], n, False
-                )
-            order = sorted(range(len(kids)), key=lambda c: not plain[c])
-        else:
-            bra, ket = bra[rows_b], ket[rows_k]
-            ket = apply_pauli_array(ket, factors, n)
-            for (qubit, mat), is_plain in zip(kids, plain):
-                if is_plain:
-                    ket = _apply_1q(ket, mat[0, 0], qubit, n)
-            kids = [kid for kid, is_plain in zip(kids, plain) if not is_plain]
-            paired = obs is not None and bra_open and ket_open
-            d = _reduce(bra, ket, [q for q, _ in kids], n, paired)
-            order = list(range(len(kids)))
-        # absorb the children in order, one GEMM each: their bits go last
-        labels, q = d.shape[2:4], len(kids)
-        d = d.transpose([0, 1, 2, 3] + [4 + j for c in order[::-1] for j in (c, q + c)])
-        for c in order:
-            mat = kids[c][1]
-            d = d.reshape(d.shape[:2] + (-1, 4))
-            d = _absorb(d, mat.reshape(mat.shape[:2] + (4,)))
-        return d.reshape(d.shape[:2] + labels)
-
-    def _leaf(self, i, obs, factors, bra, ket, rows_b, rows_k) -> np.ndarray:
-        """Slices of the leaf's Gram block or of its local-word blocks."""
-        if obs is None:
             gram = self.grams.get(i)
             if gram is None:
                 (a, l, dim), (b, m, _) = bra.shape, ket.shape
                 g = bra.reshape(a * l, dim).conj() @ ket.reshape(b * m, dim).T
                 gram = g.reshape(a, l, b, m).transpose(0, 2, 1, 3)
                 gram = self.grams[i] = np.ascontiguousarray(gram)
-            return gram[rows_b, rows_k]
-        if rows_b != rows_k:
-            raise ValueError("an observable needs its node open on both sides")
+            return gram[: None if bra_open else 1, : None if ket_open else 1]
+        bra, ket = bra[: None if bra_open else 1], ket[: None if ket_open else 1]
+        n = self.ket_nodes[i].payload.num_qubits
+        # children without open rows go onto the kets; the others are
+        # absorbed into the reduction on their qubits, one GEMM each
+        for qubit, mat in kids:
+            if mat.shape[:2] == (1, 1):
+                ket = _apply_1q(ket, mat[0, 0], qubit, n)
+        kids = [(qubit, mat) for qubit, mat in kids if mat.shape[:2] != (1, 1)]
+        d = _reduce(bra, ket, [qubit for qubit, _ in kids], n)
+        labels, q = d.shape[2:4], len(kids)
+        bits = [4 + j for c in range(q - 1, -1, -1) for j in (c, q + c)]
+        d = d.transpose([0, 1, 2, 3] + bits)
+        for _, mat in kids:
+            d = d.reshape(d.shape[:2] + (-1, 4))
+            d = _absorb(d, mat.reshape(mat.shape[:2] + (4,)))
+        return d.reshape(d.shape[:2] + labels)
+
+    def _leaf_table(self, i: int) -> np.ndarray:
+        """H[w, r, x, y] = <bra[r, x]| W_w |ket[r, y]>: leaf i's local words
+        on its paired rows."""
         table = self.tables.get(i)
         if table is None:
-            entry = self.words.get(i)
-            if entry is None:
-                words = sorted({self._local_factors(i, f) for _, f in self.factors})
-                n = self.ket_nodes[i].payload.num_qubits
-                entry = self.words[i] = (
-                    {word: col for col, word in enumerate(words)},
-                    _compile_words(words, n),
-                )
-            table = self.tables[i] = (entry[0], _obs_blocks(ket, entry[1], bra))
-        col_of, blocks = table
-        return blocks[col_of[factors], rows_b, None]
+            bra, ket = self._states(i)
+            table = _obs_blocks(ket, self._node_words(i).compiled, bra)
+            self.tables[i] = table
+        return table
 
-    def _mps(self, i, factors, kids) -> np.ndarray:
+    def _mps(self, i: int, ops: dict, open_site: int | None = None) -> np.ndarray:
+        """An MPS node's contraction with operators {site: (..., d, d)}: its
+        block over the upward leg, or its open-site matrix at ``open_site``."""
         bra, ket = self.bra_nodes[i].payload, self.ket_nodes[i].payload
-        ops: list = [None] * ket.num_sites
-        for site, letter in factors:
-            ops[site] = PAULI_MATRICES[letter]
-        for site, mat in kids:
-            ops[site] = mat
+        slots = [ops.get(site) for site in range(ket.num_sites)]
+        if open_site is not None:
+            return mps_open_site_matrix(bra, ket, open_site, slots)
         if i == 0:  # the root MPS has no upward leg
-            out = np.asarray(mps_general_expectation(bra, ket, ops))[..., None, None]
-        else:
-            out = mps_open_site_matrix(bra, ket, 0, ops)
-        return out.reshape((1,) * (4 - out.ndim) + out.shape)
+            return np.asarray(mps_general_expectation(bra, ket, slots))[..., None, None]
+        return mps_open_site_matrix(bra, ket, 0, slots)
 
 
 def tree_expectation(
@@ -462,7 +612,7 @@ def tree_energy(
 
 def tree_overlap(a: HybridTree, b: HybridTree) -> complex:
     """<psi~_a | psi~_b> for structurally identical trees."""
-    return complex(_Pass(a, b).block(0, None)[0, 0, 0, 0])
+    return complex(_Pass(a, b).block(0)[0, 0, 0, 0])
 
 
 def tree_transition(a: HybridTree, b: HybridTree, obs: ProductObservable) -> complex:

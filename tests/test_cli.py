@@ -17,7 +17,7 @@ from hybridtn.cli import (
     with_seed,
     write_trajectory,
 )
-from hybridtn.ite import IteRecord
+from hybridtn.ite import IteRecord, TreeProblem
 from hybridtn.pauli import FieldValues, build_1d_cluster, hamiltonian_from_text
 
 GOLDEN_2D_GROUND = -3.0959559301377086  # 2d_web n=2 k=2 lambda=1 seed=11
@@ -267,6 +267,24 @@ def test_run_reports_nonconvergence_but_still_writes(tmp_path, capsys):
     payload = read_result(out)
     assert payload["converged"] is False
     assert payload["iterations"] == 3
+
+
+def test_run_exits_4_with_the_reason_when_the_gradient_turns_nan(
+    tmp_path, capsys, monkeypatch
+):
+    def nan_energies(self, params, delta):
+        return 0.0, np.full(self.num_params, np.nan)
+
+    monkeypatch.setattr(TreeProblem, "_energies_fd", nan_energies)
+    config_path = write_config(tmp_path, minimal_config())
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(config_path), "--out", str(out)])
+    assert code == EXIT_NO_CONVERGENCE
+    assert "non-finite metric or gradient" in capsys.readouterr().err
+    payload = read_result(out)
+    assert payload["converged"] is False
+    assert payload["iterations"] == 0
+    assert "stop_reason" not in payload
 
 
 def test_run_skips_oracle_beyond_its_limit(tmp_path):

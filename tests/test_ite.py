@@ -288,6 +288,64 @@ def test_run_stays_pinned_at_kink():
     assert all(b <= a + 1e-9 for a, b in zip(accepted, accepted[1:]))
 
 
+class _NanOverlapProblem:
+    """Finite energies, but every overlap is NaN: the metric turns NaN."""
+
+    num_params = 2
+
+    def energy(self, params):
+        return float(np.sum(np.square(params)))
+
+    def overlap(self, pa, pb):
+        return complex(np.nan)
+
+
+class _NanCandidateProblem:
+    """A unit metric and a finite stencil, but NaN at every candidate step."""
+
+    num_params = 2
+
+    def __init__(self):
+        self.energy_calls = 0
+
+    def energy(self, params):
+        self.energy_calls += 1
+        return 1.0 if self.energy_calls == 1 else float("nan")
+
+    def overlap(self, pa, pb):
+        return complex(1.0 + np.dot(pa, pb))
+
+    def energies_fd(self, params, delta):
+        return 1.0, np.full(self.num_params, 1.0 + delta)
+
+
+@pytest.mark.parametrize(
+    "problem, reason",
+    [
+        (_NanOverlapProblem(), "non-finite metric or gradient"),
+        (_NanCandidateProblem(), "non-finite energy at a candidate step"),
+    ],
+)
+def test_run_stops_on_non_finite_flow(problem, reason):
+    start = np.array([0.1, -0.2])
+    result = run_ite(problem, IteConfig(max_iters=50), init_params=start)
+    assert result.stop_reason == reason
+    assert not result.converged
+    assert result.iterations == 0 and len(result.trajectory) == 1
+    assert np.array_equal(result.params, start)
+    assert np.isfinite(result.energy)
+
+
+def test_run_reports_why_it_stopped():
+    assert run_ite(_KinkProblem(), IteConfig(), init_params=[0.0]).stop_reason == "converged"
+    capped = run_ite(_KinkProblem(), IteConfig(max_iters=2), init_params=[0.5])
+    assert capped.stop_reason == "max_iters" and capped.iterations == 2
+    # every move off the kink raises the energy, so the step shrinks below
+    # dtau_min before it gets small enough to pass within the slack
+    stalled = run_ite(_KinkProblem(), IteConfig(dtau_min=0.01), init_params=[0.0])
+    assert stalled.stop_reason == "stalled" and stalled.iterations == 1
+
+
 def test_run_reaches_known_two_qubit_ground_energy():
     h = Hamiltonian(
         2,
@@ -383,6 +441,55 @@ def test_flow_direction_solves_the_regularized_system():
     a = np.diag([1.0, 0.0])
     x = flow_direction(a, np.array([1.0, 2.0]), 0.0)
     assert np.allclose(x, [-1.0, 0.0], atol=1e-10)
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Record every call of numpy.linalg.<name> while the test runs."""
+    calls, original = [], getattr(np.linalg, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("reg", [1e-2, 1e-6])
+def test_flow_direction_cholesky_matches_least_squares(monkeypatch, reg):
+    rng = np.random.default_rng(31)
+    lstsq_calls = _count_calls(monkeypatch, "lstsq")
+    for p in (6, 17, 64, 65, 150, 300):
+        # Gram matrices of p x 2p Gaussian rows: SPD with condition ~ 34
+        m = rng.normal(size=(p, 2 * p))
+        a, c = m @ m.T / p, rng.normal(size=p)
+        want, *_ = np.linalg.lstsq(a + reg * np.eye(p), -c, rcond=None)
+        got = flow_direction(a, c, reg)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    assert len(lstsq_calls) == 6  # the references only: no fallback
+
+
+def test_flow_direction_falls_back_to_least_squares_when_not_definite(monkeypatch):
+    lstsq_calls = _count_calls(monkeypatch, "lstsq")
+    x = flow_direction(np.diag([1.0, 0.0]), np.array([1.0, 2.0]), 0.0)
+    assert np.allclose(x, [-1.0, 0.0], atol=1e-10)
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+    y = flow_direction(indefinite, np.array([1.0, -1.0]), 1e-6)
+    assert np.allclose((indefinite + 1e-6 * np.eye(2)) @ y, [-1.0, 1.0], atol=1e-8)
+    assert len(lstsq_calls) == 2
+
+
+@pytest.mark.parametrize("bad", ["a", "c"])
+def test_flow_direction_refuses_non_finite_inputs(monkeypatch, bad):
+    factored = _count_calls(monkeypatch, "cholesky")
+    a, c = np.eye(3), np.ones(3)
+    if bad == "a":
+        a[1, 2] = np.nan
+    else:
+        c[0] = np.inf
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        flow_direction(a, c, 1e-6)
+    assert not factored
 
 
 def test_initial_parameters_are_seeded_and_bounded():
@@ -530,6 +637,45 @@ def test_three_layer_tree_energy_matches_dense_oracle_state():
         psi = dense_tree_state(DenseTreeSpec(coeff, tuple(families)))
         want = np.vdot(psi, hamiltonian_matrix(h) @ psi).real
         assert tree_energy(tree, h) == pytest.approx(want, abs=1e-10)
+
+
+def _oracle_tree_state(tree) -> np.ndarray:
+    """The state of a quantum-root tree from the oracles alone.
+
+    A branch is a dense family, or for a middle node over one quantum leaf
+    (``_three_layer_tree``) the oracles' literal case-4 contraction.
+    """
+    families = []
+    for link in tree.root.children:
+        if link.node.children:
+            (below,) = link.node.children
+            mid = replace(link.node.payload, quantum_groups=((below.attach,),))
+            families.append(dense_contract_pair(4, mid, "q0", below.node.payload, "i")[0])
+        else:
+            families.append(dense_family(link.node.payload))
+    k = len(families)
+    # alpha[i_0, .., i_k-1] with root qubit s carrying branch s
+    coeff = dense_family(tree.root.payload)[0].reshape((2,) * k)
+    return dense_tree_state(DenseTreeSpec(coeff.transpose(range(k - 1, -1, -1)), tuple(families)))
+
+
+@pytest.mark.parametrize("kind", ["qq", "cq", "qq3"])
+def test_fast_stencil_energies_match_dense_oracle_states(kind):
+    if kind == "qq3":
+        tree = _three_layer_tree(np.random.default_rng(76))
+        h = build_1d_cluster(2, 4, lam=0.8, seed=15)[0]
+    else:
+        tree, h = _stencil_tree(kind), crossing_hamiltonian()
+    h_mat = hamiltonian_matrix(h)
+    params, delta = tree.flat_params(), 1e-3
+    e0, evec = TreeProblem(tree, h).energies_fd(params, delta)
+    psi = _oracle_tree_state(tree)
+    assert e0 == pytest.approx(np.vdot(psi, h_mat @ psi).real, abs=1e-10)
+    for q in range(tree.num_params):
+        bumped = params.copy()
+        bumped[q] += delta
+        psi = _oracle_tree_state(tree.with_params(bumped))
+        assert evec[q] == pytest.approx(np.vdot(psi, h_mat @ psi).real, abs=1e-10), q
 
 
 def test_fast_and_generic_routes_agree_on_metric_and_gradient():

@@ -20,10 +20,14 @@ from hybridtn.pauli import (
     decompose_for_layout,
 )
 from hybridtn.statevector import build_hardware_efficient_ansatz
-from hybridtn.tensors import measure_branch_observable, random_mps
+from hybridtn.tensors import QuantumTensor, measure_branch_observable, random_mps
 from hybridtn.tree import (
+    ChildLink,
     EvalCounters,
+    HybridTree,
     ProductObservable,
+    TreeNode,
+    _layout_for_sizes,
     build_two_layer_cq,
     build_two_layer_qc,
     build_two_layer_qq,
@@ -219,3 +223,17 @@ def test_cost_estimate_bound_dominates(epsilon, k):
         est = cost_estimate(tree, epsilon)
         assert est.quantum_samples + est.classical_flops <= est.bound
         assert est.quantum_evals > 0
+
+
+def test_quantum_parent_refuses_a_non_binary_child():
+    # a four-label child cannot hang off one qubit of a quantum parent
+    child_circuit, root_circuit = (build_hardware_efficient_ansatz(w, 1) for w in (2, 1))
+    labels = ("00", "01", "10", "11")
+    child = QuantumTensor.shared(child_circuit, labels, np.zeros(child_circuit.num_params))
+    root = QuantumTensor.shared(root_circuit, ("0",), np.zeros(root_circuit.num_params))
+    tree = HybridTree(TreeNode(root, (ChildLink(0, TreeNode(child)),)), _layout_for_sizes((2,)))
+    h, _ = build_1d_cluster(2, 1, lam=0.5, seed=1)
+    with pytest.raises(ValueError, match="binary"):
+        tree_overlap(tree, tree)
+    with pytest.raises(ValueError, match="binary"):
+        tree_energy(tree, h)
