@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .ite import IteConfig, run_ite_tree
-from .oracles import ITERATIVE_LIMIT, OracleLimitError, exact_ground_energy
+from .oracles import OracleLimitError, exact_ground_energy
 from .pauli import (
     FieldValues,
     Hamiltonian,
@@ -42,7 +42,11 @@ from .pauli import (
     build_2d_web,
     hamiltonian_to_text,
 )
-from .statevector import build_hardware_efficient_ansatz, pauli_expectation
+from .statevector import (
+    ansatz_param_count,
+    build_hardware_efficient_ansatz,
+    pauli_expectation,
+)
 from .tree import build_two_layer_qq
 from .verify import format_report, run_checks
 
@@ -54,6 +58,12 @@ EXIT_NO_CONVERGENCE = 4
 CONFIG_VERSION = 1
 
 MODELS = ("1d_cluster", "2d_web")
+
+# run and sweep refuse a config whose run_bytes_estimate exceeds this.  Each
+# gate kernel writes a fresh copy of the stack it acts on, so a run peaks at
+# about twice the estimate; 2 GiB keeps that within an ordinary machine's
+# memory, where a larger run would end in a MemoryError or an OOM kill.
+RUN_BYTES_LIMIT = 2**31
 
 
 class ConfigError(Exception):
@@ -219,6 +229,22 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     )
 
 
+def run_bytes_estimate(config: ExperimentConfig) -> int:
+    """Bytes the flow holds at once, without allocating any of it.
+
+    Every open node keeps its perturbed stack of (params + 1) * labels *
+    2**qubits complex amplitudes: k branches of n qubits with 2 labels and
+    the k-qubit root with 1.  The p x p complex overlap matrix comes on top.
+    Caps far past the limit keep the arithmetic small.
+    """
+    n, k = min(config.n, 64), min(config.k, 64)
+    p_u = ansatz_param_count(n, min(config.d_u, 2**20))
+    p_v = ansatz_param_count(k, min(config.d_v, 2**20))
+    stacks = k * (p_u + 1) * 2 * 2**n + (p_v + 1) * 2**k
+    p = k * p_u + p_v
+    return 16 * (stacks + p * p)
+
+
 def load_config(path: str) -> ExperimentConfig:
     try:
         text = Path(path).read_text()
@@ -286,12 +312,6 @@ def write_trajectory(path: Path, trajectory) -> None:
 
 
 def _oracle_report(h: Hamiltonian, energy: float) -> dict:
-    if h.num_qubits > ITERATIVE_LIMIT:
-        return {
-            "status": "skipped",
-            "reason": f"{h.num_qubits} qubits exceeds the "
-            f"{ITERATIVE_LIMIT}-qubit oracle limit",
-        }
     try:
         e0, _ = exact_ground_energy(h)
     except OracleLimitError as exc:
@@ -315,6 +335,13 @@ def _error_text(report: dict) -> str:
 def run_point(config: ExperimentConfig, lam: float, out_dir: Path) -> tuple[dict, str]:
     """One optimization job; returns the result payload it wrote and why
     the optimizer stopped."""
+    needed = run_bytes_estimate(config)
+    if needed > RUN_BYTES_LIMIT:
+        raise ConfigError(
+            f"a run needs at least {needed / 2**30:.3g} GiB for its perturbed "
+            f"state stacks and overlap matrix, over the {RUN_BYTES_LIMIT / 2**30:g} "
+            "GiB limit; lower n, k, d_U or d_V"
+        )
     out_dir.mkdir(parents=True, exist_ok=True)
     h, _layout = build_model(config, lam)
     (out_dir / "hamiltonian.txt").write_text(hamiltonian_to_text(h))

@@ -8,6 +8,9 @@ classical labels, and the pair-contraction rules are transcribed as
 einsum formulas.  The structured evaluators elsewhere in the package are
 validated against these, so this module must not reuse their contraction
 logic.
+
+The module needs numpy only: every ``hybridtn run`` calls the ground-state
+oracle, and importing ``scipy.linalg`` would cost more than the oracle.
 """
 
 from __future__ import annotations
@@ -16,14 +19,16 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import eigh_tridiagonal
+
+# numpy imports np.random on first use; import it with the module, so that
+# the first oracle call does not pay for it
+import numpy.random  # noqa: F401
 
 from .pauli import Hamiltonian, PauliTerm, parity_signs, pauli_word_masks
 from .statevector import StateVector
 from .tensors import MpsTensor, QuantumTensor
 
-DENSE_LIMIT = 10
+DENSE_LIMIT = 8  # above it Lanczos beats a full eigh of the dense matrix
 ITERATIVE_LIMIT = 20
 TREE_STATE_LIMIT = 16
 
@@ -101,6 +106,8 @@ def _lanczos_ground(h: Hamiltonian, seed: int) -> tuple[float, np.ndarray]:
     """Lanczos with full reorthogonalization and explicit restarts."""
     n = h.num_qubits
     dim = 2**n
+    # b is zero relative to sum |c_t| >= ||H||; "<=" stops H = 0 at b = 0
+    invariant = 64 * np.finfo(float).eps * sum(abs(t.coefficient) for t in h.terms)
     rng = np.random.default_rng(seed)
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     v /= np.linalg.norm(v)
@@ -119,7 +126,7 @@ def _lanczos_ground(h: Hamiltonian, seed: int) -> tuple[float, np.ndarray]:
             for _ in range(2):  # full reorthogonalization, twice, without conj copies
                 w -= done.T @ np.conj(done @ np.conj(w))
             b = float(np.linalg.norm(w))
-            if b < 1e-14:
+            if b <= invariant:
                 break
             basis[j] = w / b
             betas.append(b)
@@ -127,7 +134,8 @@ def _lanczos_ground(h: Hamiltonian, seed: int) -> tuple[float, np.ndarray]:
             a = float(np.real(np.vdot(basis[j], w)))
             alphas.append(a)
             w = w - a * basis[j] - b * basis[j - 1]
-        evals, evecs = eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
+        tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        evals, evecs = np.linalg.eigh(tri)
         ritz = float(evals[0])
         ground = evecs[:, 0] @ basis[: len(alphas)]
         ground /= np.linalg.norm(ground)
@@ -140,21 +148,20 @@ def _lanczos_ground(h: Hamiltonian, seed: int) -> tuple[float, np.ndarray]:
 
 
 def exact_ground_energy(h: Hamiltonian) -> tuple[float, StateVector]:
-    """Ground energy and state: dense eigh up to 10 qubits, Lanczos to 20.
+    """Ground energy and state: dense eigh up to 8 qubits, Lanczos to 20.
 
     Above ``DENSE_LIMIT`` no matrix is built: Lanczos runs on the
     matrix-free :func:`apply_hamiltonian`.
     """
     n = h.num_qubits
     if n <= DENSE_LIMIT:
-        matrix = hamiltonian_matrix(h)
-        evals, evecs = scipy.linalg.eigh(matrix, subset_by_index=[0, 0])
-        return float(evals[0]), StateVector(n, evecs[:, 0].astype(complex))
+        evals, evecs = np.linalg.eigh(hamiltonian_matrix(h))
+        return float(evals[0]), StateVector(n, evecs[:, 0].copy())
     if n <= ITERATIVE_LIMIT:
         energy, vec = _lanczos_ground(h, seed=7)
         return energy, StateVector(n, vec)
     raise OracleLimitError(
-        f"exact diagonalization limited to {ITERATIVE_LIMIT} qubits, got {n}"
+        f"{n} qubits exceeds the {ITERATIVE_LIMIT}-qubit oracle limit"
     )
 
 

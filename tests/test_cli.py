@@ -11,14 +11,19 @@ from hybridtn.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_ORACLE,
+    RUN_BYTES_LIMIT,
     ConfigError,
+    build_tree,
     config_from_dict,
+    load_config,
     main,
+    run_bytes_estimate,
     with_seed,
     write_trajectory,
 )
-from hybridtn.ite import IteRecord, TreeProblem
+from hybridtn.ite import IteRecord, TreeProblem, _payload_stack
 from hybridtn.pauli import FieldValues, build_1d_cluster, hamiltonian_from_text
+from hybridtn.tree import _preorder
 
 GOLDEN_2D_GROUND = -3.0959559301377086  # 2d_web n=2 k=2 lambda=1 seed=11
 
@@ -296,6 +301,42 @@ def test_run_skips_oracle_beyond_its_limit(tmp_path):
     oracle = read_result(out)["oracle"]
     assert oracle["status"] == "skipped"
     assert "24 qubits" in oracle["reason"]
+
+
+def test_run_bytes_estimate_counts_the_stacks_and_the_overlap_matrix():
+    config = config_from_dict(minimal_config(n=3, k=2, d_U=2, d_V=3))
+    tree = build_tree(config)
+    nodes = list(_preorder(tree.root))
+    stacks = sum(
+        _payload_stack(nodes[i].payload, 1e-3).nbytes
+        for i, start, stop in tree.param_slices()
+        if stop > start
+    )
+    assert run_bytes_estimate(config) == stacks + 16 * tree.num_params**2
+
+
+def test_run_bytes_estimate_admits_the_papers_scale():
+    paper = config_from_dict(minimal_config(n=8, k=8, d_U=8, d_V=4))
+    assert run_bytes_estimate(paper) < RUN_BYTES_LIMIT
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        {"n": 20, "k": 1, "d_U": 8},  # one branch stack alone is about 16 GiB
+        {"n": 1, "k": 30},  # the root's stack
+        {"n": 2, "d_U": 10**5},  # the overlap matrix
+        {"n": 10**30, "k": 10**30, "d_U": 10**400},
+    ],
+)
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_run_refuses_configs_too_big_to_hold(tmp_path, capsys, sizes, verb):
+    config_path = write_config(tmp_path, minimal_config(**sizes))
+    assert run_bytes_estimate(load_config(config_path)) > RUN_BYTES_LIMIT
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(config_path), "--out", str(out)]) == EXIT_CONFIG
+    assert "GiB limit" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_rejects_lambda_lists(tmp_path):

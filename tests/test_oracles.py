@@ -1,6 +1,10 @@
 """Exact-diagonalization oracles and dense reference routes."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,7 +102,8 @@ def test_known_ground_energies():
 
 
 def test_dense_and_lanczos_agree():
-    h, _ = build_1d_cluster(5, 2, lam=1.0, seed=6)  # 10 qubits
+    h, _ = build_1d_cluster(4, 2, lam=1.0, seed=6)  # 8 qubits: the dense boundary
+    assert h.num_qubits == oracles.DENSE_LIMIT
     e_dense, _ = exact_ground_energy(h)
     e_lanczos, vec = _lanczos_ground(h, seed=7)
     assert abs(e_dense - e_lanczos) < 1e-8
@@ -115,6 +120,43 @@ def test_lanczos_path_above_dense_limit():
 
 def _no_dense_matrix(h):
     raise AssertionError(f"dense matrix built for {h.num_qubits} qubits")
+
+
+@pytest.mark.parametrize(
+    "builder, n, k", [(build_2d_web, 3, 3), (build_1d_cluster, 5, 2)]
+)
+def test_nine_and_ten_qubits_take_the_lanczos_route(monkeypatch, builder, n, k):
+    h, _ = builder(n, k, lam=1.0, seed=6)
+    monkeypatch.setattr(oracles, "hamiltonian_matrix", _no_dense_matrix)
+    e0, state = exact_ground_energy(h)
+    residual = apply_hamiltonian(state.amps, h) - e0 * state.amps
+    assert np.linalg.norm(residual) < 1e-7
+
+
+def test_lanczos_stop_rule_scales_with_the_operator(monkeypatch):
+    """Scaling H by 1e4 or 1e-4 costs no extra restart cycle."""
+    h, _ = build_2d_web(4, 3, lam=1.0, seed=7)
+    calls = []
+
+    def counted(amps, ham):
+        calls.append(1)
+        return apply_hamiltonian(amps, ham)
+
+    monkeypatch.setattr(oracles, "apply_hamiltonian", counted)
+    results = {}
+    for scale in (1.0, 1e4, 1e-4):
+        scaled = Hamiltonian(
+            h.num_qubits,
+            tuple(PauliTerm(scale * t.coefficient, t.factors) for t in h.terms),
+        )
+        calls.clear()
+        energy, _ = _lanczos_ground(scaled, seed=7)
+        results[scale] = (energy, len(calls))
+    base_energy, base_calls = results[1.0]
+    for scale in (1e4, 1e-4):
+        energy, count = results[scale]
+        assert count <= base_calls + 10
+        assert energy / scale == pytest.approx(base_energy, rel=1e-10)
 
 
 def test_lanczos_route_reproduces_decoupled_web_blocks(monkeypatch):
@@ -155,6 +197,55 @@ def test_oracle_size_limits():
     big = Hamiltonian(21, (PauliTerm(1.0, ((20, "Z"),)),))
     with pytest.raises(OracleLimitError):
         exact_ground_energy(big)
+
+
+def _python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter on this checkout; return its stdout."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=src.parent,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return done.stdout
+
+
+def test_cli_import_and_run_load_no_scipy(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(
+        '{"versions": {"config": 1}, "model": "2d_web", "n": 2, "k": 2,'
+        ' "lambda": 1.0, "d_U": 2, "d_V": 2, "seed": 7, "ite": {"reg": 1e-2}}'
+    )
+    out = _python(
+        "import sys\n"
+        "import hybridtn.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"code = hybridtn.cli.main(['run', '--config', {str(config)!r},"
+        f" '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    lines = out.splitlines()
+    assert "rel_error" in out  # the run reached the oracle
+    assert (lines[0], lines[-1]) == ("[]", "0 []")
+
+
+def test_oracle_calls_import_no_module():
+    out = _python(
+        "import sys\n"
+        "from hybridtn.oracles import exact_ground_energy\n"
+        "from hybridtn.pauli import build_1d_cluster\n"
+        "small, _ = build_1d_cluster(2, 2, lam=1.0, seed=3)\n"
+        "large, _ = build_1d_cluster(11, 1, lam=1.0, seed=3)\n"
+        "before = set(sys.modules)\n"
+        "exact_ground_energy(small)\n"
+        "exact_ground_energy(large)\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
