@@ -59,10 +59,11 @@ CONFIG_VERSION = 1
 
 MODELS = ("1d_cluster", "2d_web")
 
-# run and sweep refuse a config whose run_bytes_estimate exceeds this.  Each
-# gate kernel writes a fresh copy of the stack it acts on, so a run peaks at
-# about twice the estimate; 2 GiB keeps that within an ordinary machine's
-# memory, where a larger run would end in a MemoryError or an OOM kill.
+# run and sweep refuse a config whose run_bytes_estimate exceeds this.  On
+# top of the estimate a rotation allocates one temporary the size of the
+# rows it acts on, at most the largest sweep buffer again; 2 GiB keeps that
+# within an ordinary machine's memory, where a larger run would end in a
+# MemoryError or an OOM kill.
 RUN_BYTES_LIMIT = 2**31
 
 
@@ -233,16 +234,18 @@ def run_bytes_estimate(config: ExperimentConfig) -> int:
     """Bytes the flow holds at once, without allocating any of it.
 
     Every open node keeps its perturbed stack of (params + 1) * labels *
-    2**qubits complex amplitudes: k branches of n qubits with 2 labels and
-    the k-qubit root with 1.  The p x p complex overlap matrix comes on top.
-    Caps far past the limit keep the arithmetic small.
+    2**qubits complex amplitudes: k branches of n qubits with 2 labels,
+    swept together in one buffer, and the k-qubit root with 1.  The sweep
+    of the larger of the two writes into a second buffer of its size, and
+    the p x p complex overlap matrix comes on top.  Caps far past the limit
+    keep the arithmetic small.
     """
     n, k = min(config.n, 64), min(config.k, 64)
     p_u = ansatz_param_count(n, min(config.d_u, 2**20))
     p_v = ansatz_param_count(k, min(config.d_v, 2**20))
-    stacks = k * (p_u + 1) * 2 * 2**n + (p_v + 1) * 2**k
+    branches, root = k * (p_u + 1) * 2 * 2**n, (p_v + 1) * 2**k
     p = k * p_u + p_v
-    return 16 * (stacks + p * p)
+    return 16 * (branches + root + max(branches, root) + p * p)
 
 
 def load_config(path: str) -> ExperimentConfig:

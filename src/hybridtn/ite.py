@@ -20,11 +20,15 @@ A *problem* is anything with ``num_params``, ``energy(params)`` and
 provide ``overlap_fd_matrix(params, delta) -> (S, s, n0)`` and
 ``energies_fd(params, delta) -> (e0, evec)`` to service the whole
 finite-difference stencil in one batched pass; :class:`TreeProblem`,
-which evaluates every tree exactly, always does so.  All perturbed
-states of one circuit are simulated together in a single sweep (each
-rotation gate obeys G(t + d) = G(d) G(t), so a perturbed row is the
-shared sweep plus one extra fixed-angle gate; a row joins the sweep at
-its slot's first gate, as a copy of the base row).  A perturbed state
+which evaluates every tree exactly, always does so.  Payload circuits
+that are equal, like the sibling branches of the built trees, are
+simulated together: one sweep of the circuit's compiled program serves
+the base and every perturbed row of every branch, each gate one kernel
+call with a per-branch matrix.  A row joins the sweep at its slot's
+first gate, as a copy of the base row, and takes that gate at the
+perturbed angle; a run of consecutive RZ/RZZ gates is one phase
+multiply, and because its gates commute, the delta bumps of its slots
+wait for the run's end and share one multiply.  A perturbed state
 differs from the base in one node, so the tree contraction of
 :mod:`hybridtn.tree` with that node open yields a whole block of the
 stencil: one contraction per unordered node pair gives the overlaps (the
@@ -45,7 +49,16 @@ import numpy as np
 from .oracles import apply_hamiltonian
 from .pauli import Hamiltonian, decompose_for_layout
 from .rng import SplitMix64
-from .statevector import Circuit, apply_circuit_array, apply_op_array
+from .statevector import (
+    Circuit,
+    DiagonalRun,
+    _apply_1q,
+    _apply_cnot,
+    _phase,
+    _rotation_matrix,
+    apply_circuit_array,
+    gate_matrix,
+)
 from .tensors import SHARED_UNITARY, QuantumTensor
 from .tree import HybridTree, _Pass, _preorder, tree_overlap, tree_transition_energy
 
@@ -337,54 +350,93 @@ class CircuitProblem:
 # tree problem with a batched finite-difference fast path
 
 def _perturbed_stack(circuit: Circuit, params, init_states: np.ndarray, delta: float):
-    """States for the base and every single-slot perturbation, in one sweep.
+    """Base and single-slot perturbed states of g branches that share a circuit.
 
-    Returns shape (num_params + 1, labels, 2**n); row 0 is the unperturbed
-    family, row 1 + q the family at params + delta e_q.  Rotation-angle
-    additivity lets every row share the base sweep: after applying a gate
-    with slot q at the base angle, row 1 + q receives the same gate at the
-    fixed angle delta.  Row 1 + q equals row 0 until slot q's first gate,
-    where it is spawned as a copy of row 0; each gate acts on the rows
-    spawned so far (kept in order of first use).  Unused slots keep row 0.
+    ``params`` is (g, num_params), one row per branch, and ``init_states``
+    (labels, 2**n).  Returns (g, num_params + 1, labels, 2**n): [b, 0] is
+    branch b's family, [b, 1 + q] its family at params[b] + delta e_q.
+
+    One sweep of the circuit's program serves every row of every branch,
+    each step one kernel call over the rows in use.  A row joins the sweep
+    at its slot's first gate, as a copy of row 0; rows are kept in order of
+    first use and reordered once at the end, and unused slots keep row 0.
+    A single gate acts on all rows with a per-branch matrix, and on its
+    slot's row with the gate at the perturbed angle, writing into a second
+    buffer; the two buffers swap after every gate, so no gate's result is
+    a new array or is copied back (the kernel's second product still takes
+    one temporary).  A diagonal run multiplies the rows in place by its
+    phase; its gates commute, so a slot's bump exp(-i delta sum cols)
+    moves to the run's end, where the rows it spawns take copy and bump in
+    one multiply.  Row 0 is computed as :func:`apply_circuit_array`
+    computes the family, bit for bit.
     """
-    m = circuit.num_params
+    params = np.asarray(params, dtype=float)
+    g, m = params.shape
     n = circuit.num_qubits
-    buf = np.empty((m + 1,) + init_states.shape, dtype=complex)
-    buf[0] = init_states
-    bumps = np.full(m, delta)  # every slot at angle delta: the extra gate
+    program = circuit.program
+    angles = program.angles(params)
+    src = np.empty((g, m + 1) + init_states.shape, dtype=complex)
+    dst = np.empty_like(src)
+    src[:, 0] = init_states
     row_of: dict[int, int] = {}  # slot -> buffer row, in order of first use
-    for op in circuit.ops:
-        slot = op.param
-        if slot is not None and slot not in row_of:
-            row_of[slot] = len(row_of) + 1
-            buf[row_of[slot]] = buf[0]
+    for step in program.steps:
         live = len(row_of) + 1
-        buf[:live] = apply_op_array(buf[:live], op, params, n)
-        if slot is not None:
-            row = row_of[slot]
-            buf[row] = apply_op_array(buf[row], op, bumps, n)
+        if isinstance(step, DiagonalRun):
+            src[:, :live] *= _phase(angles[:, step.index], step.cols)[:, None, None]
+            cols = np.reshape(step.slot_cols, (len(step.slots), 2**n))
+            bumps = np.exp(-1j * delta * cols)
+            new = [k for k, slot in enumerate(step.slots) if slot not in row_of]
+            for k, slot in enumerate(step.slots):
+                if slot in row_of:
+                    src[:, row_of[slot]] *= bumps[k]
+            spawned = src[:, live : live + len(new)]
+            np.multiply(src[:, :1], bumps[new][:, None], out=spawned)
+            row_of.update((step.slots[k], live + j) for j, k in enumerate(new))
+            continue
+        slot = step.param
+        if slot is not None and slot not in row_of:
+            row_of[slot] = live
+            src[:, live] = src[:, 0]
+            live += 1
+        if step.kind == "CNOT":
+            _apply_cnot(src[:, :live], *step.targets, n, out=dst[:, :live])
+        else:
+            mats = _gate_mats(step, angles, row_of, live, delta)
+            _apply_1q(src[:, :live], mats, step.targets[0], n, out=dst[:, :live])
+        src, dst = dst, src
     order = [0] + [row_of.get(q, 0) for q in range(m)]
-    if order != list(range(m + 1)):
-        buf = buf[order]
-    return buf
+    if order == list(range(m + 1)):
+        return src
+    return np.take(src, order, axis=1, out=dst, mode="clip")  # unbuffered
 
 
-def _payload_stack(payload: QuantumTensor, delta: float) -> np.ndarray:
-    """Row stack of a quantum payload: its family, then one row per parameter.
+def _gate_mats(op, angles: np.ndarray, row_of: dict, live: int, delta: float):
+    """A single gate's matrices in the sweep: shared, or per branch and row,
+    (g, live, 1, 2, 2), with the slot's row at its angle + delta."""
+    if op.param is None:
+        return gate_matrix(op)  # H, X or a fixed angle
+    theta = [float(t) for t in angles[:, op.param]]
+    mats = np.empty((len(theta), live, 1, 2, 2), dtype=complex)
+    mats[:] = np.array([_rotation_matrix(op.kind, t) for t in theta])[:, None, None]
+    mats[:, row_of[op.param], 0] = [_rotation_matrix(op.kind, t + delta) for t in theta]
+    return mats
+
+
+def _payload_stack(payload: QuantumTensor, parts) -> np.ndarray:
+    """Row stack of a quantum payload from its circuits' rows, one part each.
 
     Row 1 + q is the family at the payload's flat parameters + delta e_q.
-    Each circuit's rows come from one :func:`_perturbed_stack` over the
-    labels it prepares: all of them (shared unitary) or its own.
+    A single circuit's rows are the stack itself; under distinct unitaries
+    circuit j prepares label j alone, so its rows perturb only that label.
     """
-    init = payload.initial_states()
-    out = np.empty((1 + payload.num_params,) + init.shape, dtype=complex)
+    if len(parts) == 1:
+        return parts[0]
+    out = np.empty((1 + payload.num_params,) + payload.initial_states().shape, dtype=complex)
     at = 1
-    for j, (circuit, vec) in enumerate(zip(payload.circuits, payload.params)):
-        labels = slice(None) if payload.mode == SHARED_UNITARY else slice(j, j + 1)
-        stack = _perturbed_stack(circuit, vec, init[labels], delta)
-        out[:, labels] = stack[0]
-        out[at : at + circuit.num_params, labels] = stack[1:]
-        at += circuit.num_params
+    for j, part in enumerate(parts):
+        out[:, j] = part[0, 0]
+        out[at : at + len(part) - 1, j] = part[1:, 0]
+        at += len(part) - 1
     return out
 
 
@@ -411,6 +463,19 @@ class TreeProblem:
             for i, start, stop in tree.param_slices()
             if stop > start
         ]
+        # the open payloads' circuits as (circuit, initial states, members),
+        # a member (node, circuit index); equal circuits on equal initial
+        # states share one sweep, as the branches of the built trees do
+        nodes = list(_preorder(tree.root))
+        groups: dict = {}
+        for i, _ in self._open:
+            payload = nodes[i].payload
+            init = payload.initial_states()
+            for j, circuit in enumerate(payload.circuits):
+                labels = slice(None) if payload.mode == SHARED_UNITARY else slice(j, j + 1)
+                key = (circuit, payload.initial_bits[labels])
+                groups.setdefault(key, (circuit, init[labels], []))[2].append((i, j))
+        self._groups = list(groups.values())
         # the driver dispatches on attribute presence
         self.overlap_fd_matrix = self._overlap_fd_matrix
         self.energies_fd = self._energies_fd
@@ -438,7 +503,15 @@ class TreeProblem:
         if self._point is None or self._point[0] != key:
             tree = self.tree.with_params(params)
             nodes = list(_preorder(tree.root))
-            stacks = {i: _payload_stack(nodes[i].payload, delta) for i, _ in self._open}
+            rows = {}  # (node, circuit index) -> that circuit's rows
+            for circuit, init, members in self._groups:
+                thetas = np.array([nodes[i].payload.params[j] for i, j in members])
+                rows.update(zip(members, _perturbed_stack(circuit, thetas, init, delta)))
+            stacks = {}
+            for i, _ in self._open:
+                payload = nodes[i].payload
+                parts = [rows[i, j] for j in range(len(payload.circuits))]
+                stacks[i] = _payload_stack(payload, parts)
             self._point = (key, self._pass(tree, stacks=stacks))
         return self._point[1]
 

@@ -1,11 +1,12 @@
 """Brute-force reference implementations used to check the main paths.
 
-Everything here trades efficiency for literalness: Hamiltonians of up to
-``DENSE_LIMIT`` qubits become dense matrices via Kronecker products,
-larger ones act through a matrix-free operator built from the Pauli bit
-arithmetic alone, tree states are built by explicit summation over
-classical labels, and the pair-contraction rules are transcribed as
-einsum formulas.  The structured evaluators elsewhere in the package are
+Everything here trades efficiency for literalness: the ground-state
+oracle diagonalizes Hamiltonians of up to ``DENSE_LIMIT`` qubits as dense
+matrices built via Kronecker products (the dense reference itself goes up
+to ``DENSE_MATRIX_BYTES``), larger ones act through a matrix-free
+operator built from the Pauli bit arithmetic alone, tree states are built
+by explicit summation over classical labels, and the pair-contraction
+rules are transcribed as einsum formulas.  The structured evaluators elsewhere in the package are
 validated against these, so this module must not reuse their contraction
 logic.
 
@@ -15,7 +16,6 @@ oracle, and importing ``scipy.linalg`` would cost more than the oracle.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +29,7 @@ from .statevector import StateVector
 from .tensors import MpsTensor, QuantumTensor
 
 DENSE_LIMIT = 8  # above it Lanczos beats a full eigh of the dense matrix
+DENSE_MATRIX_BYTES = 2**24  # hamiltonian_matrix's 4**n * 16 bytes: 10 qubits
 ITERATIVE_LIMIT = 20
 TREE_STATE_LIMIT = 16
 
@@ -54,9 +55,10 @@ def pauli_term_matrix(term: PauliTerm, num_qubits: int) -> np.ndarray:
 
 
 def hamiltonian_matrix(h: Hamiltonian) -> np.ndarray:
-    if h.num_qubits > DENSE_LIMIT:
+    """The literal dense reference: every term's Kronecker product, summed."""
+    if 16 * 4**h.num_qubits > DENSE_MATRIX_BYTES:
         raise OracleLimitError(
-            f"dense assembly limited to {DENSE_LIMIT} qubits, got {h.num_qubits}"
+            f"a dense {h.num_qubits}-qubit matrix exceeds {DENSE_MATRIX_BYTES} bytes"
         )
     dim = 2**h.num_qubits
     out = np.zeros((dim, dim), dtype=complex)
@@ -65,9 +67,11 @@ def hamiltonian_matrix(h: Hamiltonian) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=1)
 def _compiled(h: Hamiltonian) -> tuple[tuple[object, tuple[int, ...]], ...]:
     """Terms grouped by X/Y flip mask, as (phase, flipped axes) pairs.
+
+    Compiled once per Hamiltonian instance and kept on it: a cache keyed on
+    the Hamiltonian would hash all its terms on every matvec.
 
     A term c * W contributes phase ``c * (-i)**n_y * (-1)**popcount(x & s)``
     at output index x, read from amplitude ``x ^ m``, with (m, s, n_y) from
@@ -76,6 +80,9 @@ def _compiled(h: Hamiltonian) -> tuple[tuple[object, tuple[int, ...]], ...]:
     Z or Y factor and is complex only when one has a Y factor.  Axis
     ``n - 1 - q`` of the ``(2,) * n`` amplitude view holds qubit q.
     """
+    compiled = vars(h).get("_oracle_operator")
+    if compiled is not None:
+        return compiled
     n = h.num_qubits
     idx = np.arange(2**n, dtype=np.int64).reshape((2,) * n)
     groups: dict[int, list[tuple[complex, int]]] = {}
@@ -90,7 +97,9 @@ def _compiled(h: Hamiltonian) -> tuple[tuple[object, tuple[int, ...]], ...]:
         )
         axes = tuple(n - 1 - q for q in range(n) if flip >> q & 1)
         compiled.append((phase, axes))
-    return tuple(compiled)
+    compiled = tuple(compiled)
+    object.__setattr__(h, "_oracle_operator", compiled)  # h is frozen
+    return compiled
 
 
 def apply_hamiltonian(amps: np.ndarray, h: Hamiltonian) -> np.ndarray:

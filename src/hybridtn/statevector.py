@@ -13,7 +13,10 @@ Conventions, fixed across the package:
 
 The array-level helpers (``apply_circuit_array`` and friends) accept any
 leading batch dimensions, which the variational engine uses to push whole
-stacks of perturbed states through a circuit at once.
+stacks of perturbed states through a circuit at once.  A circuit runs as
+its compiled :attr:`Circuit.program`: each maximal run of consecutive RZ
+and RZZ gates is one diagonal phase, and every other gate is applied on
+its own.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +33,7 @@ from .pauli import PauliTerm, parity_signs
 
 GATE_KINDS = frozenset({"RX", "RY", "RZ", "RZZ", "H", "X", "CNOT"})
 ROTATION_KINDS = frozenset({"RX", "RY", "RZ", "RZZ"})
+DIAGONAL_KINDS = frozenset({"RZ", "RZZ"})
 TWO_QUBIT_KINDS = frozenset({"RZZ", "CNOT"})
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -85,6 +90,11 @@ class Circuit:
             if op.param is not None and not (0 <= op.param < self.num_params):
                 raise ValueError(f"parameter slot {op.param} out of range")
 
+    @functools.cached_property
+    def program(self) -> "Program":
+        """The circuit compiled once and kept on the instance."""
+        return _compile(self)
+
 
 @dataclass(frozen=True)
 class StateVector:
@@ -108,46 +118,55 @@ def init_basis_state(num_qubits: int, bits: str) -> StateVector:
 # ---------------------------------------------------------------------------
 # array-level kernels (batched over any leading dimensions)
 
-def _apply_1q(amps: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
+def _apply_1q(amps: np.ndarray, mat: np.ndarray, q: int, n: int, out=None) -> np.ndarray:
     """``mat`` on qubit q as a two-slice update: out_i = m_i0 a_0 + m_i1 a_1.
 
     a_0 and a_1 are the halves of the (..., 2**(n-1-q), 2, 2**q) view.  A
     stack of matrices (..., 2, 2) broadcasts its leading axes against those
-    of ``amps``.
+    of ``amps``.  ``out``, an array (or strided view) of the result's shape
+    that does not overlap ``amps``, receives the result instead of a new
+    array.
     """
     a = amps.reshape(amps.shape[:-1] + (2 ** (n - 1 - q), 1, 2, 2**q))
     m = mat[..., None, :, :, None]  # (..., 1, out index, in index, 1)
-    out = m[..., 0, :] * a[..., 0, :]
-    out += m[..., 1, :] * a[..., 1, :]
-    return out.reshape(out.shape[:-3] + (2**n,))
+    if out is None:
+        res = m[..., 0, :] * a[..., 0, :]
+    else:
+        res = out.reshape(out.shape[:-1] + (2 ** (n - 1 - q), 2, 2**q), copy=False)
+        np.multiply(m[..., 0, :], a[..., 0, :], out=res)
+    res += m[..., 1, :] * a[..., 1, :]
+    return res.reshape(res.shape[:-3] + (2**n,))
 
 
 @functools.lru_cache(maxsize=None)
-def _bit_index(n: int, targets: tuple[int, ...]) -> np.ndarray:
-    """Local basis index of every amplitude on ``targets`` (first target high)."""
-    idx = np.arange(2**n)
-    out = np.zeros(2**n, dtype=np.intp)
-    for t in targets:
-        out = 2 * out + ((idx >> t) & 1)
-    out.flags.writeable = False
-    return out
+def _phase_column(kind: str, n: int, targets: tuple[int, ...]) -> np.ndarray:
+    """c with RZ(theta) or RZZ(theta) = diag(exp(-i theta c)) on n qubits."""
+    mask = sum(1 << t for t in targets)
+    col = parity_signs(np.arange(2**n), mask) * (0.5 if kind == "RZ" else 1.0)
+    col.flags.writeable = False
+    return col
 
 
-def _diagonal(kind: str, theta: float) -> np.ndarray:
-    """Diagonal of RZ or RZZ over the local basis of :func:`_bit_index`."""
-    if kind == "RZ":
-        return np.array([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
-    e_m, e_p = np.exp(-1j * theta), np.exp(1j * theta)
-    return np.array([e_m, e_p, e_p, e_m])
+def _phase(theta: np.ndarray, cols) -> np.ndarray:
+    """exp(-i sum_j theta[..., j] cols[j]), one row per leading index of theta.
+
+    The angle sums in gate order, element by element, so a row's phase
+    does not depend on how many rows are computed with it.
+    """
+    angle = theta[..., 0, None] * cols[0]
+    for j in range(1, len(cols)):
+        angle += theta[..., j, None] * cols[j]
+    return np.exp(-1j * angle)
 
 
-def _apply_cnot(amps, control, target, n):
-    # axis n - q of the (rows, (2,) * n) view holds qubit q
-    src = amps.reshape((-1,) + (2,) * n)
-    out = src.copy()
-    high = (slice(None),) * (n - control) + (slice(1, 2),)  # control bit 1
-    out[high] = np.flip(src[high], n - target)
-    return out.reshape(amps.shape)
+def _apply_cnot(amps, control, target, n, out=None):
+    # axis -1 - q of the (..., (2,) * n) view holds qubit q
+    src = amps.reshape(amps.shape[:-1] + (2,) * n)
+    dst = np.empty_like(src) if out is None else out.reshape(src.shape, copy=False)
+    for bit in (0, 1):  # the control bit
+        half = (..., slice(bit, bit + 1)) + (slice(None),) * control
+        dst[half] = np.flip(src[half], -1 - target) if bit else src[half]
+    return dst.reshape(amps.shape)
 
 
 def _rotation_matrix(kind: str, theta: float) -> np.ndarray:
@@ -167,8 +186,9 @@ def gate_matrix(op: GateOp, params=None) -> np.ndarray:
     """Dense matrix of one gate (2x2 or 4x4), used by the oracle checks."""
     if op.kind in ("RX", "RY"):
         return _rotation_matrix(op.kind, _angle(op, params))
-    if op.kind in ("RZ", "RZZ"):
-        return np.diag(_diagonal(op.kind, _angle(op, params)))
+    if op.kind in DIAGONAL_KINDS:
+        local = _phase_column(op.kind, len(op.targets), tuple(range(len(op.targets))))
+        return np.diag(_phase(np.array([_angle(op, params)]), [local]))
     if op.kind == "H":
         return _H_MAT.copy()
     if op.kind == "X":
@@ -181,9 +201,9 @@ def gate_matrix(op: GateOp, params=None) -> np.ndarray:
 
 
 def apply_op_array(amps: np.ndarray, op: GateOp, params, n: int) -> np.ndarray:
-    if op.kind in ("RZ", "RZZ"):
-        diag = _diagonal(op.kind, _angle(op, params))
-        return amps * diag[_bit_index(n, op.targets)]
+    if op.kind in DIAGONAL_KINDS:
+        col = _phase_column(op.kind, n, op.targets)
+        return amps * _phase(np.array([_angle(op, params)]), [col])
     if op.kind in ("RX", "RY"):
         mat = _rotation_matrix(op.kind, _angle(op, params))
         return _apply_1q(amps, mat, op.targets[0], n)
@@ -196,16 +216,87 @@ def apply_op_array(amps: np.ndarray, op: GateOp, params, n: int) -> np.ndarray:
     raise ValueError(op.kind)
 
 
+class DiagonalRun(NamedTuple):
+    """A maximal run of consecutive RZ/RZZ gates: one phase exp(-i cols @ theta).
+
+    Gate j multiplies by exp(-i theta_j cols[j]), where theta_j is entry
+    ``index[j]`` of the circuit's parameters followed by the program's
+    fixed angles.  The gates commute, so a parameter slot's gates in the
+    run act together as exp(-i theta sum cols): ``slot_cols`` holds that
+    sum for each slot in ``slots``, the run's distinct slots in gate order.
+    """
+
+    cols: tuple[np.ndarray, ...]
+    index: np.ndarray
+    slots: tuple[int, ...]
+    slot_cols: tuple[np.ndarray, ...]
+
+
+class Program(NamedTuple):
+    """A circuit as steps: single gates (:class:`GateOp`) and diagonal runs."""
+
+    steps: tuple
+    fixed: np.ndarray  # the fixed angles of the runs' gates
+
+    def angles(self, params: np.ndarray) -> np.ndarray:
+        """params (..., num_params) extended by the fixed angles."""
+        m = params.shape[-1]
+        out = np.empty(params.shape[:-1] + (m + len(self.fixed),))
+        out[..., :m] = params
+        out[..., m:] = self.fixed
+        return out
+
+
+def _compile(circuit: Circuit) -> Program:
+    n, m = circuit.num_qubits, circuit.num_params
+    steps, fixed, run = [], [], []
+
+    def close_run():
+        if not run:
+            return
+        cols = tuple(_phase_column(op.kind, n, op.targets) for op in run)
+        index = []
+        for op in run:
+            if op.param is None:
+                index.append(m + len(fixed))
+                fixed.append(op.angle)
+            else:
+                index.append(op.param)
+        slots = tuple(dict.fromkeys(op.param for op in run if op.param is not None))
+        slot_cols = []
+        for slot in slots:  # a slot of one gate shares that gate's column
+            mine = [col for op, col in zip(run, cols) if op.param == slot]
+            slot_cols.append(mine[0] if len(mine) == 1 else np.sum(mine, axis=0))
+        index = np.array(index, dtype=np.intp)
+        steps.append(DiagonalRun(cols, index, slots, tuple(slot_cols)))
+        run.clear()
+
+    for op in circuit.ops:
+        if op.kind in DIAGONAL_KINDS:
+            run.append(op)
+        else:
+            close_run()
+            steps.append(op)
+    close_run()
+    fixed = np.array(fixed, dtype=float)
+    fixed.flags.writeable = False
+    return Program(tuple(steps), fixed)
+
+
 def apply_circuit_array(amps: np.ndarray, circuit: Circuit, params) -> np.ndarray:
     """Run the circuit over an amplitude array with arbitrary batch dims."""
-    if params is None:
-        params = ()
+    params = np.asarray(() if params is None else params, dtype=float)
     if circuit.num_params and len(params) != circuit.num_params:
         raise ValueError(
             f"expected {circuit.num_params} parameters, got {len(params)}"
         )
-    for op in circuit.ops:
-        amps = apply_op_array(amps, op, params, circuit.num_qubits)
+    program = circuit.program
+    angles = program.angles(params[: circuit.num_params])
+    for step in program.steps:
+        if isinstance(step, DiagonalRun):
+            amps = amps * _phase(angles[step.index], step.cols)
+        else:
+            amps = apply_op_array(amps, step, params, circuit.num_qubits)
     return amps
 
 

@@ -13,6 +13,7 @@ from hybridtn.cli import (
     EXIT_ORACLE,
     RUN_BYTES_LIMIT,
     ConfigError,
+    build_model,
     build_tree,
     config_from_dict,
     load_config,
@@ -21,9 +22,9 @@ from hybridtn.cli import (
     with_seed,
     write_trajectory,
 )
-from hybridtn.ite import IteRecord, TreeProblem, _payload_stack
+from hybridtn import ite
+from hybridtn.ite import IteRecord, TreeProblem, _perturbed_stack
 from hybridtn.pauli import FieldValues, build_1d_cluster, hamiltonian_from_text
-from hybridtn.tree import _preorder
 
 GOLDEN_2D_GROUND = -3.0959559301377086  # 2d_web n=2 k=2 lambda=1 seed=11
 
@@ -303,16 +304,27 @@ def test_run_skips_oracle_beyond_its_limit(tmp_path):
     assert "24 qubits" in oracle["reason"]
 
 
-def test_run_bytes_estimate_counts_the_stacks_and_the_overlap_matrix():
-    config = config_from_dict(minimal_config(n=3, k=2, d_U=2, d_V=3))
-    tree = build_tree(config)
-    nodes = list(_preorder(tree.root))
-    stacks = sum(
-        _payload_stack(nodes[i].payload, 1e-3).nbytes
-        for i, start, stop in tree.param_slices()
-        if stop > start
-    )
-    assert run_bytes_estimate(config) == stacks + 16 * tree.num_params**2
+def test_run_bytes_estimate_counts_the_stacks_and_the_overlap_matrix(monkeypatch):
+    # the stacks a stencil point keeps, the second buffer of its largest
+    # sweep and the overlap matrix; in the second config the root's sweep
+    # is the larger one
+    swept = []
+
+    def recording(circuit, params, init, delta):
+        out = _perturbed_stack(circuit, params, init, delta)
+        swept.append(out.nbytes)
+        return out
+
+    monkeypatch.setattr(ite, "_perturbed_stack", recording)
+    for sizes in ({"n": 3, "k": 2, "d_V": 3}, {"n": 1, "k": 4, "d_V": 2}):
+        config = config_from_dict(minimal_config(d_U=2, **sizes))
+        tree = build_tree(config)
+        problem = TreeProblem(tree, build_model(config, 1.0)[0])
+        swept.clear()
+        stacks = problem._fd_pass(tree.flat_params(), 1e-3).ket_stacks
+        kept = sum(stacks[i].nbytes for i, start, stop in tree.param_slices() if stop > start)
+        assert kept == sum(swept)  # every stack is a view of its sweep's buffer
+        assert run_bytes_estimate(config) == kept + max(swept) + 16 * tree.num_params**2
 
 
 def test_run_bytes_estimate_admits_the_papers_scale():

@@ -9,6 +9,7 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hybridtn import ite
 from hybridtn.ite import (
     CircuitProblem,
     IteConfig,
@@ -34,8 +35,9 @@ from hybridtn.oracles import (
     exact_ground_energy,
     hamiltonian_matrix,
 )
-from hybridtn.pauli import Hamiltonian, PauliTerm, build_1d_cluster
+from hybridtn.pauli import Hamiltonian, PauliTerm, build_1d_cluster, build_2d_web
 from hybridtn.statevector import (
+    GATE_KINDS,
     Circuit,
     GateOp,
     apply_circuit_array,
@@ -49,6 +51,7 @@ from hybridtn.tree import (
     HybridTree,
     TreeNode,
     _layout_for_sizes,
+    _preorder,
     _compile_words,
     _obs_blocks,
     build_two_layer_cq,
@@ -769,22 +772,145 @@ LAZY_STACK_CIRCUIT = json.dumps(
     }
 )
 
+# Diagonal runs broken by H, X and CNOT: slot 2 drives two gates of the
+# first run and one of the third, slot 0 one gate of the first run and an
+# RX later; fixed-angle RZ and RZZ sit inside runs, and slots first appear
+# in the order 2, 0, 4, 1, 3.
+DIAGONAL_RUN_CIRCUIT = json.dumps(
+    {
+        "num_qubits": 3,
+        "num_params": 5,
+        "ops": [
+            {"kind": "H", "targets": [0]},
+            {"kind": "H", "targets": [2]},
+            {"kind": "RZ", "targets": [1], "param": 2},
+            {"kind": "RZZ", "targets": [0, 1], "angle": 0.61},
+            {"kind": "RZ", "targets": [0], "param": 0},
+            {"kind": "RZZ", "targets": [2, 0], "param": 2},
+            {"kind": "RZ", "targets": [2], "angle": -1.3},
+            {"kind": "X", "targets": [1]},
+            {"kind": "RZZ", "targets": [1, 2], "param": 4},
+            {"kind": "CNOT", "targets": [1, 0]},
+            {"kind": "RZ", "targets": [0], "param": 1},
+            {"kind": "RZZ", "targets": [0, 2], "param": 2},
+            {"kind": "RZ", "targets": [1], "angle": 0.25},
+            {"kind": "H", "targets": [1]},
+            {"kind": "RX", "targets": [0], "param": 0},
+            {"kind": "RY", "targets": [2], "param": 3},
+        ],
+    }
+)
+
+
+def _assert_stack_matches_per_row_circuits(circuit, params, initial_bits, delta=1e-3):
+    """Every row of every branch against its own circuit run: row 0 bit for
+    bit against the payload's family, the perturbed rows to 1e-12."""
+    init = QuantumTensor.shared(circuit, initial_bits, params[0]).initial_states()
+    stack = _perturbed_stack(circuit, params, init, delta)
+    assert stack.shape == (len(params), circuit.num_params + 1) + init.shape
+    for branch, vec in zip(stack, params):
+        family = QuantumTensor.shared(circuit, initial_bits, vec).family_states()
+        assert np.array_equal(branch[0], family)
+        for q in range(circuit.num_params):
+            bumped = vec.copy()
+            bumped[q] += delta
+            want = apply_circuit_array(init, circuit, bumped)
+            assert np.abs(branch[1 + q] - want).max() <= 1e-12
+    return stack
+
 
 @pytest.mark.parametrize("initial_bits", [("000",), ("000", "101")])
 def test_perturbed_stack_matches_per_row_circuits(initial_bits):
-    circuit = circuit_from_json(LAZY_STACK_CIRCUIT)
-    params = np.random.default_rng(11).uniform(-np.pi, np.pi, circuit.num_params)
-    init = QuantumTensor.shared(circuit, initial_bits, params).initial_states()
-    delta = 1e-3
-    stack = _perturbed_stack(circuit, params, init, delta)
-    assert stack.shape == (circuit.num_params + 1, len(initial_bits), 8)
-    assert np.abs(stack[0] - apply_circuit_array(init, circuit, params)).max() <= 1e-12
-    for q in range(circuit.num_params):
-        bumped = params.copy()
-        bumped[q] += delta
-        want = apply_circuit_array(init, circuit, bumped)
-        assert np.abs(stack[1 + q] - want).max() <= 1e-12
-    assert np.array_equal(stack[3], stack[0])  # the unused slot keeps the base row
+    # one branch, and a group of three with their own parameters
+    rng = np.random.default_rng(11)
+    for text in (LAZY_STACK_CIRCUIT, DIAGONAL_RUN_CIRCUIT):
+        circuit = circuit_from_json(text)
+        for branches in (1, 3):
+            params = rng.uniform(-np.pi, np.pi, (branches, circuit.num_params))
+            stack = _assert_stack_matches_per_row_circuits(circuit, params, initial_bits)
+            if text == LAZY_STACK_CIRCUIT:  # the unused slot keeps row 0
+                assert np.array_equal(stack[:, 3], stack[:, 0])
+
+
+def test_diagonal_runs_are_fused():
+    steps = circuit_from_json(DIAGONAL_RUN_CIRCUIT).program.steps
+    kinds = [s.kind if isinstance(s, GateOp) else len(s.cols) for s in steps]
+    assert kinds == ["H", "H", 5, "X", 1, "CNOT", 3, "H", "RX", "RY"]
+    assert steps[2].slots == (2, 0)  # slot 2's two gates share one bump column
+
+
+@st.composite
+def stack_circuits(draw):
+    """Random circuits over every gate kind: shared, unused and out-of-order
+    slots, fixed angles, and a few branches with their own parameters."""
+    n = draw(st.integers(1, 4))
+    kinds = sorted(GATE_KINDS) if n > 1 else sorted(GATE_KINDS - {"RZZ", "CNOT"})
+    m = draw(st.integers(0, 6))
+    ops = []
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from(kinds))
+        width = 2 if kind in ("RZZ", "CNOT") else 1
+        targets = tuple(draw(st.permutations(range(n)))[:width])
+        if kind in ("RX", "RY", "RZ", "RZZ"):
+            if m and draw(st.booleans()):
+                ops.append(GateOp(kind, targets, param=draw(st.integers(0, m - 1))))
+            else:
+                angle = draw(st.floats(-np.pi, np.pi, allow_nan=False))
+                ops.append(GateOp(kind, targets, angle=angle))
+        else:
+            ops.append(GateOp(kind, targets))
+    circuit = Circuit(n, tuple(ops), m)
+    branches = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**16))
+    params = np.random.default_rng(seed).uniform(-np.pi, np.pi, (branches, m))
+    bits = ["0" * n, "1" * n, "01" * n][: draw(st.integers(1, 3))]
+    return circuit, params, tuple(dict.fromkeys(b[:n] for b in bits))
+
+
+@given(stack_circuits())
+def test_perturbed_stack_matches_per_row_circuits_on_random_circuits(case):
+    _assert_stack_matches_per_row_circuits(*case)
+
+
+def test_distinct_unitaries_payload_rows_match_per_row_families():
+    rng = np.random.default_rng(12)
+    (c0, p0), (c1, p1) = random_circuit(rng, 2, 2), random_circuit(rng, 2, 1)
+    fixed = Circuit(2, (GateOp("H", (0,)), GateOp("CNOT", (0, 1))), 0)
+    for circuits, vecs in (([c0, c1], [p0, p1]), ([c0, fixed], [p0, ()])):
+        tree = _with_distinct_branch(_stencil_tree("qq"), circuits, vecs)
+        problem = TreeProblem(tree, crossing_hamiltonian())
+        params, delta = tree.flat_params(), 1e-3
+        stacks = problem._fd_pass(params, delta).ket_stacks
+        nodes = list(_preorder(tree.root))
+        for i, start, stop in tree.param_slices():
+            payload = nodes[i].payload
+            assert np.array_equal(stacks[i][0], payload.family_states())
+            for q in range(stop - start):
+                bumped = params[start:stop].copy()
+                bumped[q] += delta
+                want = payload.with_params(bumped).family_states()
+                assert np.abs(stacks[i][1 + q] - want).max() <= 1e-12
+
+
+def test_stencil_point_sweeps_each_circuit_group_once(monkeypatch):
+    # 2d_web n=4 k=3: the root and the three equal branches, two sweeps
+    root = build_hardware_efficient_ansatz(3, 2)
+    branches = [build_hardware_efficient_ansatz(4, 2) for _ in range(3)]
+    total = root.num_params + sum(b.num_params for b in branches)
+    tree = build_two_layer_qq(root, branches, np.zeros(total))
+    h, _ = build_2d_web(4, 3, lam=1.0, seed=7)
+    problem = TreeProblem(tree, h)
+    calls = []
+
+    def counting(circuit, params, init, delta):
+        calls.append(len(params))
+        return _perturbed_stack(circuit, params, init, delta)
+
+    monkeypatch.setattr(ite, "_perturbed_stack", counting)
+    params = initial_parameters(tree.num_params, 7)
+    metric_a(problem, params, 1e-3)
+    gradient_c(problem, params, 1e-3)
+    assert sorted(calls) == [1, 3]
 
 
 @st.composite

@@ -82,6 +82,33 @@ def test_compiled_operator_matches_kronecker_assembly(h, seed):
     )
 
 
+def test_dense_reference_reaches_ten_qubits():
+    h, _ = build_1d_cluster(5, 2, lam=1.0, seed=6)  # 10 qubits, 16 MiB
+    assert 16 * 4**h.num_qubits == oracles.DENSE_MATRIX_BYTES
+    rng = np.random.default_rng(3)
+    amps = rng.normal(size=2**10) + 1j * rng.normal(size=2**10)
+    np.testing.assert_allclose(
+        hamiltonian_matrix(h) @ amps, apply_hamiltonian(amps, h), rtol=0, atol=1e-12
+    )
+    with pytest.raises(OracleLimitError):
+        hamiltonian_matrix(Hamiltonian(11, (PauliTerm(1.0, ((10, "Z"),)),)))
+
+
+def test_operator_is_compiled_once_per_hamiltonian(monkeypatch):
+    h, _ = build_2d_web(2, 2, lam=1.0, seed=4)
+    amps = np.ones(2**h.num_qubits, dtype=complex)
+    first = apply_hamiltonian(amps, h)
+
+    def recompiled(factors):
+        raise AssertionError("the Hamiltonian was compiled again")
+
+    monkeypatch.setattr(oracles, "pauli_word_masks", recompiled)
+    np.testing.assert_array_equal(apply_hamiltonian(amps, h), first)
+    twin = Hamiltonian(h.num_qubits, h.terms)  # equal, but not compiled yet
+    with pytest.raises(AssertionError):
+        apply_hamiltonian(amps, twin)
+
+
 def test_known_ground_energies():
     zz = Hamiltonian(2, (PauliTerm(1.0, ((0, "Z"), (1, "Z"))),))
     e0, _ = exact_ground_energy(zz)
