@@ -15,8 +15,9 @@ are byte-deterministic for a fixed config and seed.
 
 Exit codes: 0 success, 2 config error, 3 oracle limit, 4 optimizer did
 not converge (results are still written; stderr says why it stopped:
-"max_iters", "stalled", or a metric, gradient or energy that turned
-non-finite).
+"max_iters", "stalled", or a metric, gradient, candidate step or energy
+that turned non-finite).  A model whose coefficients' absolute sum, the
+bound on its norm, is not finite is a config error.
 """
 
 from __future__ import annotations
@@ -287,7 +288,15 @@ def effective_config_dict(config: ExperimentConfig, lam) -> dict:
 
 def build_model(config: ExperimentConfig, lam: float):
     builder = build_1d_cluster if config.model == "1d_cluster" else build_2d_web
-    return builder(config.n, config.k, lam=lam, seed=config.seed, fields=config.fields)
+    h, layout = builder(config.n, config.k, lam=lam, seed=config.seed, fields=config.fields)
+    # sum |c_t| bounds ||H||; past the floats, energies and oracle turn inf or NaN
+    bound = sum(abs(t.coefficient) for t in h.terms)
+    if not math.isfinite(bound):
+        raise ConfigError(
+            f"the model's coefficients sum to {bound} in absolute value at "
+            f"lambda {lam!r}; lower lambda or the fields"
+        )
+    return h, layout
 
 
 def build_tree(config: ExperimentConfig):
@@ -335,9 +344,7 @@ def _error_text(report: dict) -> str:
     return f"  rel_error {report['rel_error']:.3e}"
 
 
-def run_point(config: ExperimentConfig, lam: float, out_dir: Path) -> tuple[dict, str]:
-    """One optimization job; returns the result payload it wrote and why
-    the optimizer stopped."""
+def _require_run_fits(config: ExperimentConfig) -> None:
     needed = run_bytes_estimate(config)
     if needed > RUN_BYTES_LIMIT:
         raise ConfigError(
@@ -345,8 +352,14 @@ def run_point(config: ExperimentConfig, lam: float, out_dir: Path) -> tuple[dict
             f"state stacks and overlap matrix, over the {RUN_BYTES_LIMIT / 2**30:g} "
             "GiB limit; lower n, k, d_U or d_V"
         )
-    out_dir.mkdir(parents=True, exist_ok=True)
+
+
+def run_point(config: ExperimentConfig, lam: float, out_dir: Path) -> tuple[dict, str]:
+    """One optimization job; returns the result payload it wrote and why
+    the optimizer stopped."""
+    _require_run_fits(config)
     h, _layout = build_model(config, lam)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "hamiltonian.txt").write_text(hamiltonian_to_text(h))
 
     tree = build_tree(config)
@@ -425,6 +438,9 @@ def cmd_verify(shots: int, seed: int) -> int:
 
 def cmd_sweep(config: ExperimentConfig, out_dir: Path) -> int:
     lams = config.lam if isinstance(config.lam, list) else [float(config.lam)]
+    _require_run_fits(config)
+    for lam in lams:  # a bad model ends the sweep before any point runs
+        build_model(config, lam)
     jobs = [
         (index, lam, out_dir / f"point_{index:02d}") for index, lam in enumerate(lams)
     ]

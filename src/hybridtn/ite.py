@@ -24,11 +24,12 @@ which evaluates every tree exactly, always does so.  Payload circuits
 that are equal, like the sibling branches of the built trees, are
 simulated together: one sweep of the circuit's compiled program serves
 the base and every perturbed row of every branch, each gate one kernel
-call with a per-branch matrix.  A row joins the sweep at its slot's
-first gate, as a copy of the base row, and takes that gate at the
-perturbed angle; a run of consecutive RZ/RZZ gates is one phase
-multiply, and because its gates commute, the delta bumps of its slots
-wait for the run's end and share one multiply.  A perturbed state
+call with a per-branch matrix.  Row 1 + q is slot q's throughout: it
+joins the sweep as a copy of the base row no later than slot q's first
+gate, and takes each of the slot's gates at the perturbed angle.  A run
+of consecutive RZ/RZZ gates is one phase multiply with one column per
+slot, and because its gates commute, each slot's delta bump waits for
+the run's end, where the slot's column gives it.  A perturbed state
 differs from the base in one node, so the tree contraction of
 :mod:`hybridtn.tree` with that node open yields a whole block of the
 stencil: one contraction per unordered node pair gives the overlaps (the
@@ -171,6 +172,9 @@ class IteConfig:
             raise ValueError(f"dtau_cap must be positive, got {self.dtau_cap!r}")
         if not self.dtau_grow >= 1:
             raise ValueError(f"dtau_grow must be >= 1, got {self.dtau_grow!r}")
+        # the initial point is drawn from [-init_scale, init_scale]
+        if not np.isfinite(2.0 * self.init_scale):
+            raise ValueError(f"2 * init_scale must be finite, got {self.init_scale!r}")
 
 
 @dataclass
@@ -216,7 +220,8 @@ def ite_step(problem, state: IteState, config: IteConfig) -> IteState:
     proposes params + dtau * theta_dot, halving dtau until the energy
     stops increasing; on acceptance dtau grows gently for the next step.
     A rejected step leaves parameters and energy unchanged.  A non-finite
-    metric, gradient or candidate energy raises FloatingPointError.
+    metric, gradient, candidate step or candidate energy raises
+    FloatingPointError.
     """
     a = metric_a(problem, state.params, config.delta)
     c = gradient_c(problem, state.params, config.delta)
@@ -224,6 +229,8 @@ def ite_step(problem, state: IteState, config: IteConfig) -> IteState:
     dtau = state.dtau
     for _ in range(config.max_retries + 1):
         cand = state.params + dtau * theta_dot
+        if not np.isfinite(cand).all():
+            raise FloatingPointError("non-finite parameters at a candidate step")
         e_new = float(problem.energy(cand))
         if not np.isfinite(e_new):
             raise FloatingPointError("non-finite energy at a candidate step")
@@ -262,8 +269,8 @@ def run_ite(problem, config: IteConfig = IteConfig(), init_params=None) -> IteRe
     """Iterate the flow until the energy is flat over a trailing window.
 
     The run also ends when the step stalls below ``dtau_min``, after
-    ``max_iters`` steps, or when a metric, gradient or energy turns
-    non-finite; ``stop_reason`` says which.
+    ``max_iters`` steps, or when a metric, gradient, candidate step or
+    energy turns non-finite; ``stop_reason`` says which.
     """
     if init_params is None:
         params = initial_parameters(problem.num_params, config.seed, config.init_scale)
@@ -271,6 +278,8 @@ def run_ite(problem, config: IteConfig = IteConfig(), init_params=None) -> IteRe
         params = np.asarray(init_params, dtype=float).copy()
         if len(params) != problem.num_params:
             raise ValueError("initial parameter vector length mismatch")
+    if not np.isfinite(params).all():
+        raise ValueError("non-finite initial parameters")
     state = IteState(
         params=params, tau=0.0, energy=float(problem.energy(params)), dtau=config.dtau0
     )
@@ -357,68 +366,57 @@ def _perturbed_stack(circuit: Circuit, params, init_states: np.ndarray, delta: f
     branch b's family, [b, 1 + q] its family at params[b] + delta e_q.
 
     One sweep of the circuit's program serves every row of every branch,
-    each step one kernel call over the rows in use.  A row joins the sweep
-    at its slot's first gate, as a copy of row 0; rows are kept in order of
-    first use and reordered once at the end, and unused slots keep row 0.
-    A single gate acts on all rows with a per-branch matrix, and on its
-    slot's row with the gate at the perturbed angle, writing into a second
-    buffer; the two buffers swap after every gate, so no gate's result is
-    a new array or is copied back (the kernel's second product still takes
-    one temporary).  A diagonal run multiplies the rows in place by its
-    phase; its gates commute, so a slot's bump exp(-i delta sum cols)
-    moves to the run's end, where the rows it spawns take copy and bump in
-    one multiply.  Row 0 is computed as :func:`apply_circuit_array`
-    computes the family, bit for bit.
+    each step one kernel call over the swept prefix of rows.  Row 1 + q
+    belongs to slot q throughout: before each step the prefix grows, by
+    copies of row 0, to take the rows of the step's slots, and the slots
+    no gate uses take row 0 at the end.  A single gate acts on all rows
+    with a per-branch matrix, and on its slot's row with the gate at the
+    perturbed angle, writing into a second buffer; the two buffers swap
+    after every gate, so no gate's result is a new array or is copied back
+    (the kernel's second product still takes one temporary).  A diagonal
+    run multiplies the rows in place by its phase, then each of its slots'
+    rows by that slot's bump exp(-i delta col): the run's gates commute,
+    so the bump may wait for the run's end.  Row 0 is computed as
+    :func:`apply_circuit_array` computes the family, bit for bit.
     """
     params = np.asarray(params, dtype=float)
     g, m = params.shape
     n = circuit.num_qubits
-    program = circuit.program
-    angles = program.angles(params)
     src = np.empty((g, m + 1) + init_states.shape, dtype=complex)
     dst = np.empty_like(src)
     src[:, 0] = init_states
-    row_of: dict[int, int] = {}  # slot -> buffer row, in order of first use
-    for step in program.steps:
-        live = len(row_of) + 1
-        if isinstance(step, DiagonalRun):
-            src[:, :live] *= _phase(angles[:, step.index], step.cols)[:, None, None]
-            cols = np.reshape(step.slot_cols, (len(step.slots), 2**n))
-            bumps = np.exp(-1j * delta * cols)
-            new = [k for k, slot in enumerate(step.slots) if slot not in row_of]
-            for k, slot in enumerate(step.slots):
-                if slot in row_of:
-                    src[:, row_of[slot]] *= bumps[k]
-            spawned = src[:, live : live + len(new)]
-            np.multiply(src[:, :1], bumps[new][:, None], out=spawned)
-            row_of.update((step.slots[k], live + j) for j, k in enumerate(new))
+    live = 1  # rows swept so far
+    for step in circuit.program:
+        run = isinstance(step, DiagonalRun)
+        slots = step.slots if run else () if step.param is None else (step.param,)
+        top = 2 + max(slots, default=-1)
+        if top > live:
+            src[:, live:top] = src[:, :1]
+            live = top
+        if run:
+            src[:, :live] *= _phase(params[:, None, None], step)
+            bumps = np.exp(-1j * delta * np.reshape(step.cols, (len(slots), 1, 2**n)))
+            src[:, [1 + q for q in slots]] *= bumps
             continue
-        slot = step.param
-        if slot is not None and slot not in row_of:
-            row_of[slot] = live
-            src[:, live] = src[:, 0]
-            live += 1
         if step.kind == "CNOT":
             _apply_cnot(src[:, :live], *step.targets, n, out=dst[:, :live])
         else:
-            mats = _gate_mats(step, angles, row_of, live, delta)
+            mats = _gate_mats(step, params, live, delta)
             _apply_1q(src[:, :live], mats, step.targets[0], n, out=dst[:, :live])
         src, dst = dst, src
-    order = [0] + [row_of.get(q, 0) for q in range(m)]
-    if order == list(range(m + 1)):
-        return src
-    return np.take(src, order, axis=1, out=dst, mode="clip")  # unbuffered
+    src[:, live:] = src[:, :1]
+    return src
 
 
-def _gate_mats(op, angles: np.ndarray, row_of: dict, live: int, delta: float):
+def _gate_mats(op, params: np.ndarray, live: int, delta: float):
     """A single gate's matrices in the sweep: shared, or per branch and row,
-    (g, live, 1, 2, 2), with the slot's row at its angle + delta."""
+    (g, live, 1, 2, 2), with the slot's row 1 + slot at its angle + delta."""
     if op.param is None:
         return gate_matrix(op)  # H, X or a fixed angle
-    theta = [float(t) for t in angles[:, op.param]]
+    theta = [float(t) for t in params[:, op.param]]
     mats = np.empty((len(theta), live, 1, 2, 2), dtype=complex)
     mats[:] = np.array([_rotation_matrix(op.kind, t) for t in theta])[:, None, None]
-    mats[:, row_of[op.param], 0] = [_rotation_matrix(op.kind, t + delta) for t in theta]
+    mats[:, 1 + op.param, 0] = [_rotation_matrix(op.kind, t + delta) for t in theta]
     return mats
 
 

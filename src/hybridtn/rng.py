@@ -36,6 +36,3 @@ class SplitMix64:
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.next_float()
-
-    def floats(self, count: int) -> list[float]:
-        return [self.next_float() for _ in range(count)]

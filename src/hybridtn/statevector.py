@@ -22,6 +22,7 @@ its own.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -91,8 +92,8 @@ class Circuit:
                 raise ValueError(f"parameter slot {op.param} out of range")
 
     @functools.cached_property
-    def program(self) -> "Program":
-        """The circuit compiled once and kept on the instance."""
+    def program(self) -> tuple:
+        """The single gates and diagonal runs, compiled once per instance."""
         return _compile(self)
 
 
@@ -147,15 +148,17 @@ def _phase_column(kind: str, n: int, targets: tuple[int, ...]) -> np.ndarray:
     return col
 
 
-def _phase(theta: np.ndarray, cols) -> np.ndarray:
-    """exp(-i sum_j theta[..., j] cols[j]), one row per leading index of theta.
+def _phase(params: np.ndarray, run: DiagonalRun) -> np.ndarray:
+    """The run's exp(-i (fixed + sum_q params[..., q] col_q)), one row per
+    leading index of ``params`` (one row for all when the run has no slot).
 
-    The angle sums in gate order, element by element, so a row's phase
-    does not depend on how many rows are computed with it.
+    The angle sums in the run's slot order, element by element, so a row's
+    phase does not depend on how many rows are computed with it.
     """
-    angle = theta[..., 0, None] * cols[0]
-    for j in range(1, len(cols)):
-        angle += theta[..., j, None] * cols[j]
+    angle = run.fixed
+    for slot, col in zip(run.slots, run.cols):
+        term = params[..., slot, None] * col
+        angle = term if angle is None else angle + term
     return np.exp(-1j * angle)
 
 
@@ -183,12 +186,12 @@ def _angle(op: GateOp, params) -> float:
 
 
 def gate_matrix(op: GateOp, params=None) -> np.ndarray:
-    """Dense matrix of one gate (2x2 or 4x4), used by the oracle checks."""
+    """Dense matrix of one gate (2x2 or 4x4) on its own targets."""
     if op.kind in ("RX", "RY"):
         return _rotation_matrix(op.kind, _angle(op, params))
     if op.kind in DIAGONAL_KINDS:
         local = _phase_column(op.kind, len(op.targets), tuple(range(len(op.targets))))
-        return np.diag(_phase(np.array([_angle(op, params)]), [local]))
+        return np.diag(np.exp(-1j * (_angle(op, params) * local)))
     if op.kind == "H":
         return _H_MAT.copy()
     if op.kind == "X":
@@ -203,84 +206,46 @@ def gate_matrix(op: GateOp, params=None) -> np.ndarray:
 def apply_op_array(amps: np.ndarray, op: GateOp, params, n: int) -> np.ndarray:
     if op.kind in DIAGONAL_KINDS:
         col = _phase_column(op.kind, n, op.targets)
-        return amps * _phase(np.array([_angle(op, params)]), [col])
-    if op.kind in ("RX", "RY"):
-        mat = _rotation_matrix(op.kind, _angle(op, params))
-        return _apply_1q(amps, mat, op.targets[0], n)
-    if op.kind == "H":
-        return _apply_1q(amps, _H_MAT, op.targets[0], n)
-    if op.kind == "X":
-        return _apply_1q(amps, _X_MAT, op.targets[0], n)
+        return amps * np.exp(-1j * (_angle(op, params) * col))
     if op.kind == "CNOT":
         return _apply_cnot(amps, op.targets[0], op.targets[1], n)
-    raise ValueError(op.kind)
+    return _apply_1q(amps, gate_matrix(op, params), op.targets[0], n)
 
 
 class DiagonalRun(NamedTuple):
-    """A maximal run of consecutive RZ/RZZ gates: one phase exp(-i cols @ theta).
+    """A maximal run of consecutive RZ/RZZ gates, as one diagonal phase.
 
-    Gate j multiplies by exp(-i theta_j cols[j]), where theta_j is entry
-    ``index[j]`` of the circuit's parameters followed by the program's
-    fixed angles.  The gates commute, so a parameter slot's gates in the
-    run act together as exp(-i theta sum cols): ``slot_cols`` holds that
-    sum for each slot in ``slots``, the run's distinct slots in gate order.
+    The gates commute, so the run multiplies by exp(-i (fixed + sum_q
+    theta_q cols[k])) over its distinct parameter slots q = ``slots[k]``, in
+    order of first gate: ``cols[k]`` is the sum of slot q's gate columns,
+    and the same column gives the slot's delta bump exp(-i delta cols[k]).
+    ``fixed`` is angle times column summed over the run's fixed-angle gates,
+    or None when it has none.
     """
 
-    cols: tuple[np.ndarray, ...]
-    index: np.ndarray
     slots: tuple[int, ...]
-    slot_cols: tuple[np.ndarray, ...]
+    cols: tuple[np.ndarray, ...]
+    fixed: np.ndarray | None
 
 
-class Program(NamedTuple):
-    """A circuit as steps: single gates (:class:`GateOp`) and diagonal runs."""
-
-    steps: tuple
-    fixed: np.ndarray  # the fixed angles of the runs' gates
-
-    def angles(self, params: np.ndarray) -> np.ndarray:
-        """params (..., num_params) extended by the fixed angles."""
-        m = params.shape[-1]
-        out = np.empty(params.shape[:-1] + (m + len(self.fixed),))
-        out[..., :m] = params
-        out[..., m:] = self.fixed
-        return out
-
-
-def _compile(circuit: Circuit) -> Program:
-    n, m = circuit.num_qubits, circuit.num_params
-    steps, fixed, run = [], [], []
-
-    def close_run():
-        if not run:
-            return
-        cols = tuple(_phase_column(op.kind, n, op.targets) for op in run)
-        index = []
-        for op in run:
+def _compile(circuit: Circuit) -> tuple:
+    n = circuit.num_qubits
+    steps = []
+    runs = itertools.groupby(circuit.ops, lambda op: op.kind in DIAGONAL_KINDS)
+    for diagonal, ops in runs:
+        if not diagonal:
+            steps.extend(ops)
+            continue
+        # slot -> the sum of its gates' columns, slots in order of first gate
+        cols, fixed = {}, None
+        for op in ops:
+            col = _phase_column(op.kind, n, op.targets)
             if op.param is None:
-                index.append(m + len(fixed))
-                fixed.append(op.angle)
-            else:
-                index.append(op.param)
-        slots = tuple(dict.fromkeys(op.param for op in run if op.param is not None))
-        slot_cols = []
-        for slot in slots:  # a slot of one gate shares that gate's column
-            mine = [col for op, col in zip(run, cols) if op.param == slot]
-            slot_cols.append(mine[0] if len(mine) == 1 else np.sum(mine, axis=0))
-        index = np.array(index, dtype=np.intp)
-        steps.append(DiagonalRun(cols, index, slots, tuple(slot_cols)))
-        run.clear()
-
-    for op in circuit.ops:
-        if op.kind in DIAGONAL_KINDS:
-            run.append(op)
-        else:
-            close_run()
-            steps.append(op)
-    close_run()
-    fixed = np.array(fixed, dtype=float)
-    fixed.flags.writeable = False
-    return Program(tuple(steps), fixed)
+                fixed = op.angle * col if fixed is None else fixed + op.angle * col
+            else:  # a slot of one gate shares that gate's column
+                cols[op.param] = cols[op.param] + col if op.param in cols else col
+        steps.append(DiagonalRun(tuple(cols), tuple(cols.values()), fixed))
+    return tuple(steps)
 
 
 def apply_circuit_array(amps: np.ndarray, circuit: Circuit, params) -> np.ndarray:
@@ -290,11 +255,9 @@ def apply_circuit_array(amps: np.ndarray, circuit: Circuit, params) -> np.ndarra
         raise ValueError(
             f"expected {circuit.num_params} parameters, got {len(params)}"
         )
-    program = circuit.program
-    angles = program.angles(params[: circuit.num_params])
-    for step in program.steps:
+    for step in circuit.program:
         if isinstance(step, DiagonalRun):
-            amps = amps * _phase(angles[step.index], step.cols)
+            amps = amps * _phase(params, step)
         else:
             amps = apply_op_array(amps, step, params, circuit.num_qubits)
     return amps

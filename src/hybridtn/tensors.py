@@ -320,10 +320,6 @@ class HermitianObservable:
         m = np.asarray(m, dtype=complex)
         return cls((m + m.conj().T) / 2.0)
 
-    @property
-    def dimension(self) -> int:
-        return self.entries.shape[0]
-
 
 # ---------------------------------------------------------------------------
 # network of typed edges

@@ -293,6 +293,43 @@ def test_run_exits_4_with_the_reason_when_the_gradient_turns_nan(
     assert "stop_reason" not in payload
 
 
+@pytest.mark.parametrize(
+    "overrides, code, message",
+    [
+        ({"lambda": 1e308, "ite": {}}, EXIT_NO_CONVERGENCE, "non-finite parameters"),
+        ({"ite": {"dtau0": 1e308}}, EXIT_NO_CONVERGENCE, "non-finite parameters"),
+        ({"ite": {"init_scale": 1e308}}, EXIT_CONFIG, "init_scale"),
+    ],
+)
+def test_run_ends_non_finite_parameters_with_a_documented_code(
+    tmp_path, capsys, overrides, code, message
+):
+    # each makes a candidate step or the initial point overflow
+    data = minimal_config(d_U=1, d_V=1, **overrides)
+    config_path = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    if code == EXIT_NO_CONVERGENCE:  # the last accepted point is written
+        text = (out / "result.json").read_text()
+        assert "NaN" not in text and "Infinity" not in text
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep", "exact"])
+def test_models_past_the_floats_are_config_errors(tmp_path, capsys, verb):
+    # sum |c_t| overflows: the energy would be inf and the oracle's NaN
+    data = minimal_config(fields={"f": 1e308, "g": 1e308})
+    config_path = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(config_path), "--out", str(out)]) == EXIT_CONFIG
+    assert "coefficients sum to inf" in capsys.readouterr().err
+    assert not out.exists()
+    for path in tmp_path.rglob("*"):
+        if path.is_file():
+            text = path.read_text()
+            assert "NaN" not in text and "Infinity" not in text, path
+
+
 def test_run_skips_oracle_beyond_its_limit(tmp_path):
     data = minimal_config(n=8, k=3, ite={"reg": 1e-2, "max_iters": 2})
     config_path = write_config(tmp_path, data)

@@ -62,6 +62,8 @@ from hybridtn.tree import (
 )
 from hybridtn.verify import random_circuit, random_qq_tree, tree_to_dense_spec
 
+from test_statevector import dense_circuit
+
 
 def trivial_hamiltonian(n: int) -> Hamiltonian:
     return Hamiltonian(n, (PauliTerm(1.0, ((0, "Z"),)),))
@@ -404,6 +406,16 @@ def test_run_rejects_wrong_initial_vector_length():
     )
     with pytest.raises(ValueError, match="length mismatch"):
         run_ite(problem, IteConfig(max_iters=1), init_params=np.zeros(3))
+
+
+def test_run_rejects_non_finite_initial_parameters():
+    problem = CircuitProblem(
+        build_hardware_efficient_ansatz(2, 1), trivial_hamiltonian(2)
+    )
+    start = np.full(problem.num_params, 0.1)
+    start[1] = np.inf
+    with pytest.raises(ValueError, match="non-finite initial parameters"):
+        run_ite(problem, IteConfig(max_iters=1), init_params=start)
 
 
 def test_circuit_problem_rejects_register_mismatch():
@@ -804,18 +816,23 @@ DIAGONAL_RUN_CIRCUIT = json.dumps(
 
 def _assert_stack_matches_per_row_circuits(circuit, params, initial_bits, delta=1e-3):
     """Every row of every branch against its own circuit run: row 0 bit for
-    bit against the payload's family, the perturbed rows to 1e-12."""
+    bit against the payload's family, the perturbed rows to 1e-12; and
+    every row to 1e-10 against the product of the gates' dense matrices,
+    which shares no code with the compiled program."""
     init = QuantumTensor.shared(circuit, initial_bits, params[0]).initial_states()
     stack = _perturbed_stack(circuit, params, init, delta)
     assert stack.shape == (len(params), circuit.num_params + 1) + init.shape
     for branch, vec in zip(stack, params):
         family = QuantumTensor.shared(circuit, initial_bits, vec).family_states()
         assert np.array_equal(branch[0], family)
+        assert np.abs(family - init @ dense_circuit(circuit, vec).T).max() <= 1e-10
         for q in range(circuit.num_params):
             bumped = vec.copy()
             bumped[q] += delta
             want = apply_circuit_array(init, circuit, bumped)
             assert np.abs(branch[1 + q] - want).max() <= 1e-12
+            dense = init @ dense_circuit(circuit, bumped).T
+            assert np.abs(want - dense).max() <= 1e-10
     return stack
 
 
@@ -833,10 +850,12 @@ def test_perturbed_stack_matches_per_row_circuits(initial_bits):
 
 
 def test_diagonal_runs_are_fused():
-    steps = circuit_from_json(DIAGONAL_RUN_CIRCUIT).program.steps
-    kinds = [s.kind if isinstance(s, GateOp) else len(s.cols) for s in steps]
-    assert kinds == ["H", "H", 5, "X", 1, "CNOT", 3, "H", "RX", "RY"]
-    assert steps[2].slots == (2, 0)  # slot 2's two gates share one bump column
+    steps = circuit_from_json(DIAGONAL_RUN_CIRCUIT).program
+    kinds = [s.kind if isinstance(s, GateOp) else s.slots for s in steps]
+    assert kinds == ["H", "H", (2, 0), "X", (4,), "CNOT", (1, 2), "H", "RX", "RY"]
+    # slot 2's two gates share one column; the fixed angles fold into one vector
+    assert len(steps[2].cols) == 2
+    assert [steps[i].fixed is None for i in (2, 4, 6)] == [False, True, False]
 
 
 @st.composite

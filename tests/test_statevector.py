@@ -62,6 +62,14 @@ def dense_op(op: GateOp, params, n: int) -> np.ndarray:
     return embed_1q(gate_matrix(op, params), op.targets[0], n)
 
 
+def dense_circuit(circuit: Circuit, params) -> np.ndarray:
+    """The circuit's unitary as the product of its gates' dense matrices."""
+    total = np.eye(2**circuit.num_qubits, dtype=complex)
+    for op in circuit.ops:
+        total = dense_op(op, params, circuit.num_qubits) @ total
+    return total
+
+
 def random_state(rng: np.random.Generator, n: int) -> np.ndarray:
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return amps / np.linalg.norm(amps)
@@ -128,10 +136,7 @@ def test_circuit_matches_accumulated_matrix():
     circuit, params = random_circuit(rng, 3, 3)
     amps = random_state(rng, 3)
     got = apply_circuit_array(amps, circuit, params)
-    total = np.eye(8, dtype=complex)
-    for op in circuit.ops:
-        total = dense_op(op, params, 3) @ total
-    np.testing.assert_allclose(got, total @ amps, atol=1e-10)
+    np.testing.assert_allclose(got, dense_circuit(circuit, params) @ amps, atol=1e-10)
 
 
 def test_basis_state_labels():
