@@ -21,24 +21,20 @@ provide ``overlap_fd_matrix(params, delta) -> (S, s, n0)`` and
 ``energies_fd(params, delta) -> (e0, evec)`` to service the whole
 finite-difference stencil in one batched pass; :class:`TreeProblem`,
 which evaluates every tree exactly, always does so.  Payload circuits
-that are equal, like the sibling branches of the built trees, are
-simulated together: one sweep of the circuit's compiled program serves
-the base and every perturbed row of every branch, each gate one kernel
-call with a per-branch matrix.  Row 1 + q is slot q's throughout: it
-joins the sweep as a copy of the base row no later than slot q's first
-gate, and takes each of the slot's gates at the perturbed angle.  A run
-of consecutive RZ/RZZ gates is one phase multiply with one column per
-slot, and because its gates commute, each slot's delta bump waits for
-the run's end, where the slot's column gives it.  A perturbed state
-differs from the base in one node, so the tree contraction of
-:mod:`hybridtn.tree` with that node open yields a whole block of the
-stencil: one contraction per unordered node pair gives the overlaps (the
-reversed pair is its conjugate transpose), and one per node the energies,
-whose terms are summed into the node's environment before its perturbed
-rows are contracted.  The flow system is solved by Cholesky, with a
-least-squares fallback when A + reg I is not numerically positive
-definite; a non-finite metric, gradient or energy ends the run with a
-stated reason.
+that are equal on equal initial states, like the sibling branches of the
+built trees, form a group, and each group is simulated in one sweep
+(:func:`hybridtn.statevector.sweep_circuit`) with a parameter row per
+member: at a stencil point the sweep carries the base and every
+single-slot perturbed row of every member, and at a line-search energy
+the families alone.  A perturbed state differs from the base in one
+node, so the tree contraction of :mod:`hybridtn.tree` with that node open
+yields a whole block of the stencil: one contraction per unordered node
+pair gives the overlaps (the reversed pair is its conjugate transpose),
+and one per node the energies, whose terms are summed into the node's
+environment before its perturbed rows are contracted.  The flow system is
+solved by Cholesky, with a least-squares fallback when A + reg I is not
+numerically positive definite; a non-finite metric, gradient or energy
+ends the run with a stated reason.
 """
 
 from __future__ import annotations
@@ -50,16 +46,8 @@ import numpy as np
 from .oracles import apply_hamiltonian
 from .pauli import Hamiltonian, decompose_for_layout
 from .rng import SplitMix64
-from .statevector import (
-    Circuit,
-    DiagonalRun,
-    _apply_1q,
-    _apply_cnot,
-    _phase,
-    _rotation_matrix,
-    apply_circuit_array,
-    gate_matrix,
-)
+from .statevector import Circuit, apply_circuit_array
+from .statevector import sweep_circuit as _perturbed_stack
 from .tensors import SHARED_UNITARY, QuantumTensor
 from .tree import HybridTree, _Pass, _preorder, tree_overlap, tree_transition_energy
 
@@ -228,7 +216,8 @@ def ite_step(problem, state: IteState, config: IteConfig) -> IteState:
     theta_dot = flow_direction(a, c, config.reg)
     dtau = state.dtau
     for _ in range(config.max_retries + 1):
-        cand = state.params + dtau * theta_dot
+        with np.errstate(over="ignore", invalid="ignore"):  # checked next
+            cand = state.params + dtau * theta_dot
         if not np.isfinite(cand).all():
             raise FloatingPointError("non-finite parameters at a candidate step")
         e_new = float(problem.energy(cand))
@@ -294,7 +283,8 @@ def run_ite(problem, config: IteConfig = IteConfig(), init_params=None) -> IteRe
         except FloatingPointError as exc:
             reason = str(exc)
             break
-        grad_norm = float(np.linalg.norm(new_state.c_vector))
+        with np.errstate(over="ignore"):  # a finite gradient's norm may overflow
+            grad_norm = float(np.linalg.norm(new_state.c_vector))
         records.append(
             IteRecord(
                 len(records),
@@ -358,78 +348,18 @@ class CircuitProblem:
 # ---------------------------------------------------------------------------
 # tree problem with a batched finite-difference fast path
 
-def _perturbed_stack(circuit: Circuit, params, init_states: np.ndarray, delta: float):
-    """Base and single-slot perturbed states of g branches that share a circuit.
-
-    ``params`` is (g, num_params), one row per branch, and ``init_states``
-    (labels, 2**n).  Returns (g, num_params + 1, labels, 2**n): [b, 0] is
-    branch b's family, [b, 1 + q] its family at params[b] + delta e_q.
-
-    One sweep of the circuit's program serves every row of every branch,
-    each step one kernel call over the swept prefix of rows.  Row 1 + q
-    belongs to slot q throughout: before each step the prefix grows, by
-    copies of row 0, to take the rows of the step's slots, and the slots
-    no gate uses take row 0 at the end.  A single gate acts on all rows
-    with a per-branch matrix, and on its slot's row with the gate at the
-    perturbed angle, writing into a second buffer; the two buffers swap
-    after every gate, so no gate's result is a new array or is copied back
-    (the kernel's second product still takes one temporary).  A diagonal
-    run multiplies the rows in place by its phase, then each of its slots'
-    rows by that slot's bump exp(-i delta col): the run's gates commute,
-    so the bump may wait for the run's end.  Row 0 is computed as
-    :func:`apply_circuit_array` computes the family, bit for bit.
-    """
-    params = np.asarray(params, dtype=float)
-    g, m = params.shape
-    n = circuit.num_qubits
-    src = np.empty((g, m + 1) + init_states.shape, dtype=complex)
-    dst = np.empty_like(src)
-    src[:, 0] = init_states
-    live = 1  # rows swept so far
-    for step in circuit.program:
-        run = isinstance(step, DiagonalRun)
-        slots = step.slots if run else () if step.param is None else (step.param,)
-        top = 2 + max(slots, default=-1)
-        if top > live:
-            src[:, live:top] = src[:, :1]
-            live = top
-        if run:
-            src[:, :live] *= _phase(params[:, None, None], step)
-            bumps = np.exp(-1j * delta * np.reshape(step.cols, (len(slots), 1, 2**n)))
-            src[:, [1 + q for q in slots]] *= bumps
-            continue
-        if step.kind == "CNOT":
-            _apply_cnot(src[:, :live], *step.targets, n, out=dst[:, :live])
-        else:
-            mats = _gate_mats(step, params, live, delta)
-            _apply_1q(src[:, :live], mats, step.targets[0], n, out=dst[:, :live])
-        src, dst = dst, src
-    src[:, live:] = src[:, :1]
-    return src
-
-
-def _gate_mats(op, params: np.ndarray, live: int, delta: float):
-    """A single gate's matrices in the sweep: shared, or per branch and row,
-    (g, live, 1, 2, 2), with the slot's row 1 + slot at its angle + delta."""
-    if op.param is None:
-        return gate_matrix(op)  # H, X or a fixed angle
-    theta = [float(t) for t in params[:, op.param]]
-    mats = np.empty((len(theta), live, 1, 2, 2), dtype=complex)
-    mats[:] = np.array([_rotation_matrix(op.kind, t) for t in theta])[:, None, None]
-    mats[:, 1 + op.param, 0] = [_rotation_matrix(op.kind, t + delta) for t in theta]
-    return mats
-
-
 def _payload_stack(payload: QuantumTensor, parts) -> np.ndarray:
     """Row stack of a quantum payload from its circuits' rows, one part each.
 
-    Row 1 + q is the family at the payload's flat parameters + delta e_q.
-    A single circuit's rows are the stack itself; under distinct unitaries
-    circuit j prepares label j alone, so its rows perturb only that label.
+    Row 0 is the family and, when the parts carry perturbed rows, row 1 + q
+    the family at the payload's flat parameters + delta e_q.  A single
+    circuit's rows are the stack itself; under distinct unitaries circuit j
+    prepares label j alone, so its rows perturb only that label.
     """
     if len(parts) == 1:
         return parts[0]
-    out = np.empty((1 + payload.num_params,) + payload.initial_states().shape, dtype=complex)
+    rows = 1 + sum(len(part) - 1 for part in parts)
+    out = np.empty((rows,) + payload.initial_states().shape, dtype=complex)
     at = 1
     for j, part in enumerate(parts):
         out[:, j] = part[0, 0]
@@ -486,7 +416,8 @@ class TreeProblem:
         return _Pass(tree, tree, self.factors, words=self._words, stacks=stacks)
 
     def energy(self, params) -> float:
-        return self._pass(self.tree.with_params(params)).term_sum().real
+        tree = self.tree.with_params(params)
+        return self._pass(tree, stacks=self._stacks(tree, None)).term_sum().real
 
     def overlap(self, pa, pb) -> complex:
         return tree_overlap(
@@ -495,22 +426,27 @@ class TreeProblem:
 
     # -- batched finite-difference stencil ----------------------------------
 
+    def _stacks(self, tree: HybridTree, delta) -> dict:
+        """The open nodes' row stacks, one sweep per circuit group: the
+        families alone when ``delta`` is None, else with perturbed rows."""
+        nodes = list(_preorder(tree.root))
+        rows = {}  # (node, circuit index) -> that circuit's rows
+        for circuit, init, members in self._groups:
+            thetas = np.array([nodes[i].payload.params[j] for i, j in members])
+            rows.update(zip(members, _perturbed_stack(circuit, thetas, init, delta)))
+        stacks = {}
+        for i, _ in self._open:
+            payload = nodes[i].payload
+            parts = [rows[i, j] for j in range(len(payload.circuits))]
+            stacks[i] = _payload_stack(payload, parts)
+        return stacks
+
     def _fd_pass(self, params: np.ndarray, delta: float) -> _Pass:
         """The contraction pass over every node's perturbed row stack."""
         key = (params.tobytes(), delta)
         if self._point is None or self._point[0] != key:
             tree = self.tree.with_params(params)
-            nodes = list(_preorder(tree.root))
-            rows = {}  # (node, circuit index) -> that circuit's rows
-            for circuit, init, members in self._groups:
-                thetas = np.array([nodes[i].payload.params[j] for i, j in members])
-                rows.update(zip(members, _perturbed_stack(circuit, thetas, init, delta)))
-            stacks = {}
-            for i, _ in self._open:
-                payload = nodes[i].payload
-                parts = [rows[i, j] for j in range(len(payload.circuits))]
-                stacks[i] = _payload_stack(payload, parts)
-            self._point = (key, self._pass(tree, stacks=stacks))
+            self._point = (key, self._pass(tree, stacks=self._stacks(tree, delta)))
         return self._point[1]
 
     def _overlap_fd_matrix(self, params, delta):

@@ -11,12 +11,14 @@ Conventions, fixed across the package:
 * Angles are plain radians.  Parameterised gates reference a slot in a flat
   parameter vector; slots are assigned in order of gate appearance.
 
-The array-level helpers (``apply_circuit_array`` and friends) accept any
-leading batch dimensions, which the variational engine uses to push whole
-stacks of perturbed states through a circuit at once.  A circuit runs as
-its compiled :attr:`Circuit.program`: each maximal run of consecutive RZ
-and RZZ gates is one diagonal phase, and every other gate is applied on
-its own.
+A circuit runs as its compiled :attr:`Circuit.program`: each maximal run
+of consecutive RZ and RZZ gates is one diagonal phase, and every other
+gate is applied on its own.  :func:`sweep_circuit` is the one runner of a
+program.  It takes the branches that share a circuit, each with its own
+parameters, and with a finite-difference ``delta`` also every
+single-slot perturbed state of each, in one pass; the variational
+engine's stencil uses that.  :func:`apply_circuit_array` is its
+one-branch call, for any leading batch dimensions.
 """
 
 from __future__ import annotations
@@ -162,23 +164,26 @@ def _phase(params: np.ndarray, run: DiagonalRun) -> np.ndarray:
     return np.exp(-1j * angle)
 
 
-def _apply_cnot(amps, control, target, n, out=None):
+def _apply_cnot(amps, control, target, n, out) -> None:
+    """CNOT into ``out``, an array (or strided view) of the shape of ``amps``
+    that does not overlap it."""
     # axis -1 - q of the (..., (2,) * n) view holds qubit q
     src = amps.reshape(amps.shape[:-1] + (2,) * n)
-    dst = np.empty_like(src) if out is None else out.reshape(src.shape, copy=False)
+    dst = out.reshape(src.shape, copy=False)
     for bit in (0, 1):  # the control bit
         half = (..., slice(bit, bit + 1)) + (slice(None),) * control
         dst[half] = np.flip(src[half], -1 - target) if bit else src[half]
-    return dst.reshape(amps.shape)
 
 
-def _rotation_matrix(kind: str, theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    if kind == "RX":
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    if kind == "RY":
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    raise ValueError(kind)
+def _rotation_matrices(kind: str, thetas) -> np.ndarray:
+    """RX or RY at each angle of ``thetas``, (len(thetas), 2, 2)."""
+    if kind not in ("RX", "RY"):
+        raise ValueError(kind)
+    mats = []
+    for theta in thetas:
+        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+        mats.append([[c, -1j * s], [-1j * s, c]] if kind == "RX" else [[c, -s], [s, c]])
+    return np.array(mats, dtype=complex)
 
 
 def _angle(op: GateOp, params) -> float:
@@ -186,9 +191,10 @@ def _angle(op: GateOp, params) -> float:
 
 
 def gate_matrix(op: GateOp, params=None) -> np.ndarray:
-    """Dense matrix of one gate (2x2 or 4x4) on its own targets."""
+    """Dense matrix of a single-qubit gate (2x2) or an RZZ (4x4) on its own
+    targets."""
     if op.kind in ("RX", "RY"):
-        return _rotation_matrix(op.kind, _angle(op, params))
+        return _rotation_matrices(op.kind, [_angle(op, params)])[0]
     if op.kind in DIAGONAL_KINDS:
         local = _phase_column(op.kind, len(op.targets), tuple(range(len(op.targets))))
         return np.diag(np.exp(-1j * (_angle(op, params) * local)))
@@ -196,20 +202,7 @@ def gate_matrix(op: GateOp, params=None) -> np.ndarray:
         return _H_MAT.copy()
     if op.kind == "X":
         return _X_MAT.copy()
-    if op.kind == "CNOT":
-        m = np.eye(4, dtype=complex)
-        m[[2, 3]] = m[[3, 2]]
-        return m
     raise ValueError(op.kind)
-
-
-def apply_op_array(amps: np.ndarray, op: GateOp, params, n: int) -> np.ndarray:
-    if op.kind in DIAGONAL_KINDS:
-        col = _phase_column(op.kind, n, op.targets)
-        return amps * np.exp(-1j * (_angle(op, params) * col))
-    if op.kind == "CNOT":
-        return _apply_cnot(amps, op.targets[0], op.targets[1], n)
-    return _apply_1q(amps, gate_matrix(op, params), op.targets[0], n)
 
 
 class DiagonalRun(NamedTuple):
@@ -248,6 +241,76 @@ def _compile(circuit: Circuit) -> tuple:
     return tuple(steps)
 
 
+def sweep_circuit(circuit: Circuit, params, init: np.ndarray, delta=None) -> np.ndarray:
+    """Run the circuit's program for g branches that share it.
+
+    ``params`` is (g, num_params), one row per branch, and ``init``
+    (labels, 2**n).  Without ``delta`` returns (g, 1, labels, 2**n), each
+    branch's family; with it (g, num_params + 1, labels, 2**n), where
+    [b, 0] is branch b's family and [b, 1 + q] its family at
+    params[b] + delta e_q.
+
+    One pass over the program serves every row of every branch, each step
+    one kernel call over the swept prefix of rows.  Row 1 + q belongs to
+    slot q throughout: before each step the prefix grows, by copies of
+    row 0, to take the rows of the step's slots, and the slots no gate
+    uses take row 0 at the end.  A single gate acts on all rows with a
+    per-branch matrix, and on its slot's row with the gate at the
+    perturbed angle, writing into a second buffer; the two buffers swap
+    after every gate, so no gate's result is a new array or is copied back
+    (the kernel's second product still takes one temporary).  A diagonal
+    run multiplies the rows in place by its phase, then each of its slots'
+    rows by that slot's bump exp(-i delta col): the run's gates commute,
+    so the bump may wait for the run's end.  Row 0 takes the same
+    operations with or without ``delta``, so it is the family bit for bit.
+    """
+    params = np.asarray(params, dtype=float)
+    g, m = params.shape
+    n = circuit.num_qubits
+    src = np.empty((g, 1 if delta is None else m + 1) + init.shape, dtype=complex)
+    dst = np.empty_like(src)
+    src[:, 0] = init
+    live = 1  # rows swept so far
+    for step in circuit.program:
+        run = isinstance(step, DiagonalRun)
+        if delta is not None:
+            slots = step.slots if run else () if step.param is None else (step.param,)
+            top = 2 + max(slots, default=-1)
+            if top > live:
+                src[:, live:top] = src[:, :1]
+                live = top
+        if run:
+            src[:, :live] *= _phase(params[:, None, None], step)
+            if delta is not None:
+                bumps = np.exp(-1j * delta * np.reshape(step.cols, (len(slots), 1, 2**n)))
+                src[:, [1 + q for q in slots]] *= bumps
+            continue
+        if step.kind == "CNOT":
+            _apply_cnot(src[:, :live], *step.targets, n, out=dst[:, :live])
+        else:
+            mats = _gate_mats(step, params, live, delta)
+            _apply_1q(src[:, :live], mats, step.targets[0], n, out=dst[:, :live])
+        src, dst = dst, src
+    src[:, live:] = src[:, :1]
+    return src
+
+
+def _gate_mats(op: GateOp, params: np.ndarray, live: int, delta):
+    """A single gate's matrices in the sweep: shared, per branch (g, 1, 1,
+    2, 2) without ``delta``, else per branch and row (g, live, 1, 2, 2)
+    with the slot's row 1 + slot at its angle + delta."""
+    if op.param is None:
+        return gate_matrix(op)  # H, X or a fixed angle
+    theta = params[:, op.param].tolist()
+    base = _rotation_matrices(op.kind, theta)[:, None, None]
+    if delta is None:
+        return base
+    mats = np.empty((len(theta), live, 1, 2, 2), dtype=complex)
+    mats[:] = base
+    mats[:, 1 + op.param, 0] = _rotation_matrices(op.kind, [t + delta for t in theta])
+    return mats
+
+
 def apply_circuit_array(amps: np.ndarray, circuit: Circuit, params) -> np.ndarray:
     """Run the circuit over an amplitude array with arbitrary batch dims."""
     params = np.asarray(() if params is None else params, dtype=float)
@@ -255,12 +318,8 @@ def apply_circuit_array(amps: np.ndarray, circuit: Circuit, params) -> np.ndarra
         raise ValueError(
             f"expected {circuit.num_params} parameters, got {len(params)}"
         )
-    for step in circuit.program:
-        if isinstance(step, DiagonalRun):
-            amps = amps * _phase(params, step)
-        else:
-            amps = apply_op_array(amps, step, params, circuit.num_qubits)
-    return amps
+    flat = amps.reshape(-1, amps.shape[-1])
+    return sweep_circuit(circuit, params[None], flat)[0, 0].reshape(amps.shape)
 
 
 def apply_pauli_array(amps: np.ndarray, factors, n: int) -> np.ndarray:

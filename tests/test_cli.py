@@ -1,6 +1,7 @@
 """Experiment driver: config validation, verbs, exit codes, determinism."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -313,6 +314,17 @@ def test_run_ends_non_finite_parameters_with_a_documented_code(
     if code == EXIT_NO_CONVERGENCE:  # the last accepted point is written
         text = (out / "result.json").read_text()
         assert "NaN" not in text and "Infinity" not in text
+
+
+def test_overflowing_candidate_step_stops_without_a_warning(tmp_path, capsys):
+    # dtau0 * theta_dot overflows; the stop reason is the only report
+    data = minimal_config(d_U=1, d_V=1, ite={"dtau0": 1e308})
+    config_path = write_config(tmp_path, data)
+    argv = ["run", "--config", str(config_path), "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_NO_CONVERGENCE
+    assert "non-finite parameters" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("verb", ["run", "sweep", "exact"])

@@ -1,6 +1,7 @@
 """Imaginary-time flow: difference stencils, step control, and subspace mixing."""
 
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -416,6 +417,17 @@ def test_run_rejects_non_finite_initial_parameters():
     start[1] = np.inf
     with pytest.raises(ValueError, match="non-finite initial parameters"):
         run_ite(problem, IteConfig(max_iters=1), init_params=start)
+
+
+def test_overflowing_gradient_norm_finishes_the_step_without_a_warning():
+    # every gradient entry is finite, but its squared norm overflows
+    circuit = Circuit(1, (GateOp("RX", (0,), param=0), GateOp("RY", (0,), param=1)), 2)
+    h = Hamiltonian(1, (PauliTerm(1e307, ((0, "Z"),)),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_ite(CircuitProblem(circuit, h), IteConfig(max_iters=1))
+    assert result.iterations == 1 and result.stop_reason == "max_iters"
+    assert result.trajectory[1].grad_norm == np.inf
 
 
 def test_circuit_problem_rejects_register_mismatch():
@@ -912,7 +924,8 @@ def test_distinct_unitaries_payload_rows_match_per_row_families():
 
 
 def test_stencil_point_sweeps_each_circuit_group_once(monkeypatch):
-    # 2d_web n=4 k=3: the root and the three equal branches, two sweeps
+    # 2d_web n=4 k=3: the root and the three equal branches, two sweeps at
+    # a stencil point and two at a line-search energy
     root = build_hardware_efficient_ansatz(3, 2)
     branches = [build_hardware_efficient_ansatz(4, 2) for _ in range(3)]
     total = root.num_params + sum(b.num_params for b in branches)
@@ -922,14 +935,18 @@ def test_stencil_point_sweeps_each_circuit_group_once(monkeypatch):
     calls = []
 
     def counting(circuit, params, init, delta):
-        calls.append(len(params))
+        calls.append((len(params), delta))
         return _perturbed_stack(circuit, params, init, delta)
 
     monkeypatch.setattr(ite, "_perturbed_stack", counting)
     params = initial_parameters(tree.num_params, 7)
     metric_a(problem, params, 1e-3)
     gradient_c(problem, params, 1e-3)
-    assert sorted(calls) == [1, 3]
+    assert sorted(calls) == [(1, 1e-3), (3, 1e-3)]
+    # a line-search energy sweeps the same groups, families only
+    calls.clear()
+    problem.energy(params)
+    assert sorted(calls) == [(1, None), (3, None)]
 
 
 @st.composite

@@ -16,7 +16,6 @@ from hybridtn.statevector import (
     ansatz_param_count,
     apply_circuit,
     apply_circuit_array,
-    apply_op_array,
     apply_pauli_array,
     build_hardware_efficient_ansatz,
     circuit_from_json,
@@ -93,7 +92,8 @@ def test_rotation_matrices_analytic():
 
 def test_rx_pi_flips():
     state = init_basis_state(1, "0")
-    out = apply_op_array(state.amps, GateOp("RX", (0,), angle=math.pi), None, 1)
+    circuit = Circuit(1, (GateOp("RX", (0,), angle=math.pi),), 0)
+    out = apply_circuit_array(state.amps, circuit, None)
     np.testing.assert_allclose(out, [0.0, -1j], atol=1e-15)
 
 
@@ -112,11 +112,13 @@ def test_kernels_match_dense_embeddings():
             ops.append(GateOp("RZZ", pair, param=0))
         for op in ops:
             dense = dense_op(op, params, n)
+            circuit = Circuit(n, (op,), 1)
+            assert len(circuit.program) == 1  # RZ and RZZ: a one-gate diagonal run
             amps = random_state(rng, n)
-            got = apply_op_array(amps, op, params, n)
+            got = apply_circuit_array(amps, circuit, params)
             np.testing.assert_allclose(got, dense @ amps, atol=1e-12, err_msg=str(op))
             batch = np.stack([random_state(rng, n) for _ in range(6)]).reshape(2, 3, -1)
-            got = apply_op_array(batch, op, params, n)
+            got = apply_circuit_array(batch, circuit, params)
             assert got.shape == batch.shape
             np.testing.assert_allclose(got, batch @ dense.T, atol=1e-12, err_msg=str(op))
 
@@ -124,8 +126,8 @@ def test_kernels_match_dense_embeddings():
 def test_kernels_batched_leading_axes():
     rng = np.random.default_rng(6)
     batch = np.stack([random_state(rng, 2) for _ in range(3)]).reshape(3, 1, 4)
-    op = GateOp("CNOT", (0, 1))
-    got = apply_op_array(batch, op, None, 2)
+    circuit = Circuit(2, (GateOp("CNOT", (0, 1)),), 0)
+    got = apply_circuit_array(batch, circuit, None)
     for row in range(3):
         want = dense_cnot(0, 1, 2) @ batch[row, 0]
         np.testing.assert_allclose(got[row, 0], want, atol=1e-12)
@@ -208,9 +210,8 @@ def test_sampling_eigenstate_is_exact():
 
 def test_sampling_deterministic_and_unbiased():
     theta = 0.9
-    amps = apply_op_array(
-        init_basis_state(1, "0").amps, GateOp("RX", (0,), angle=theta), None, 1
-    )
+    circuit = Circuit(1, (GateOp("RX", (0,), angle=theta),), 0)
+    amps = apply_circuit_array(init_basis_state(1, "0").amps, circuit, None)
     state = StateVector(1, amps)
     term = PauliTerm(1.0, ((0, "Z"),))
     a = sample_pauli_expectation(state, term, shots=20000, seed=4)
