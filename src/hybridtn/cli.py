@@ -60,11 +60,14 @@ CONFIG_VERSION = 1
 
 MODELS = ("1d_cluster", "2d_web")
 
-# run and sweep refuse a config whose run_bytes_estimate exceeds this.  On
-# top of the estimate a rotation allocates one temporary the size of the
-# rows it acts on, at most the largest sweep buffer again; 2 GiB keeps that
-# within an ordinary machine's memory, where a larger run would end in a
-# MemoryError or an OOM kill.
+# run and sweep refuse a config whose run_bytes_estimate exceeds this.  A
+# layer of single-qubit gates writes its two GEMMs into the sweep's two
+# buffers, which the estimate counts, but builds its Kronecker factors on
+# top: per half, one matrix per variant and one per row, at most 2 *
+# 4**ceil(q/2) complex numbers per row of a q-qubit sweep.  That is at most
+# four times the largest sweep buffer (twice it for a branch sweep, whose
+# rows hold 2 labels), and 2 GiB keeps it within an ordinary machine's
+# memory, where a larger run would end in a MemoryError or an OOM kill.
 RUN_BYTES_LIMIT = 2**31
 
 
@@ -232,14 +235,15 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def run_bytes_estimate(config: ExperimentConfig) -> int:
-    """Bytes the flow holds at once, without allocating any of it.
+    """Bytes the flow holds at once, without allocating any of it, apart
+    from a layer's passing Kronecker factors (see RUN_BYTES_LIMIT).
 
     Every open node keeps its perturbed stack of (params + 1) * labels *
     2**qubits complex amplitudes: k branches of n qubits with 2 labels,
     swept together in one buffer, and the k-qubit root with 1.  The sweep
-    of the larger of the two writes into a second buffer of its size, and
-    the p x p complex overlap matrix comes on top.  Caps far past the limit
-    keep the arithmetic small.
+    of the larger of the two writes its GEMMs and CNOTs into a second
+    buffer of its size, and the p x p complex overlap matrix comes on top.
+    Caps far past the limit keep the arithmetic small.
     """
     n, k = min(config.n, 64), min(config.k, 64)
     p_u = ansatz_param_count(n, min(config.d_u, 2**20))

@@ -12,13 +12,14 @@ Conventions, fixed across the package:
   parameter vector; slots are assigned in order of gate appearance.
 
 A circuit runs as its compiled :attr:`Circuit.program`: each maximal run
-of consecutive RZ and RZZ gates is one diagonal phase, and every other
-gate is applied on its own.  :func:`sweep_circuit` is the one runner of a
-program.  It takes the branches that share a circuit, each with its own
-parameters, and with a finite-difference ``delta`` also every
-single-slot perturbed state of each, in one pass; the variational
-engine's stencil uses that.  :func:`apply_circuit_array` is its
-one-branch call, for any leading batch dimensions.
+of consecutive RZ and RZZ gates is one diagonal phase, each maximal run of
+consecutive RX, RY, H and X gates one Kronecker-product layer applied as
+two matrix products, and each CNOT a permutation.  :func:`sweep_circuit`
+is the one runner of a program.  It takes the branches that share a
+circuit, each with its own parameters, and with a finite-difference
+``delta`` also every single-slot perturbed state of each, in one pass;
+the variational engine's stencil uses that.  :func:`apply_circuit_array`
+is its one-branch call, for any leading batch dimensions.
 """
 
 from __future__ import annotations
@@ -45,7 +46,10 @@ _X_MAT = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y_MAT = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z_MAT = np.array([[1, 0], [0, -1]], dtype=complex)
 _SDG_MAT = np.array([[1, 0], [0, -1j]], dtype=complex)
+_I_MAT = np.eye(2, dtype=complex)
 PAULI_MATRICES = {"X": _X_MAT, "Y": _Y_MAT, "Z": _Z_MAT}
+# RX(theta) = cos(theta/2) I + sin(theta/2) (-iX), RY likewise with -iY
+_GENERATORS = {"RX": -1j * _X_MAT, "RY": -1j * _Y_MAT}
 
 NORM_TOL = 1e-10
 
@@ -95,7 +99,7 @@ class Circuit:
 
     @functools.cached_property
     def program(self) -> tuple:
-        """The single gates and diagonal runs, compiled once per instance."""
+        """The layers, diagonal runs and CNOTs, compiled once per instance."""
         return _compile(self)
 
 
@@ -121,22 +125,16 @@ def init_basis_state(num_qubits: int, bits: str) -> StateVector:
 # ---------------------------------------------------------------------------
 # array-level kernels (batched over any leading dimensions)
 
-def _apply_1q(amps: np.ndarray, mat: np.ndarray, q: int, n: int, out=None) -> np.ndarray:
+def _apply_1q(amps: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
     """``mat`` on qubit q as a two-slice update: out_i = m_i0 a_0 + m_i1 a_1.
 
     a_0 and a_1 are the halves of the (..., 2**(n-1-q), 2, 2**q) view.  A
     stack of matrices (..., 2, 2) broadcasts its leading axes against those
-    of ``amps``.  ``out``, an array (or strided view) of the result's shape
-    that does not overlap ``amps``, receives the result instead of a new
-    array.
+    of ``amps``.
     """
     a = amps.reshape(amps.shape[:-1] + (2 ** (n - 1 - q), 1, 2, 2**q))
     m = mat[..., None, :, :, None]  # (..., 1, out index, in index, 1)
-    if out is None:
-        res = m[..., 0, :] * a[..., 0, :]
-    else:
-        res = out.reshape(out.shape[:-1] + (2 ** (n - 1 - q), 2, 2**q), copy=False)
-        np.multiply(m[..., 0, :], a[..., 0, :], out=res)
+    res = m[..., 0, :] * a[..., 0, :]
     res += m[..., 1, :] * a[..., 1, :]
     return res.reshape(res.shape[:-3] + (2**n,))
 
@@ -175,17 +173,6 @@ def _apply_cnot(amps, control, target, n, out) -> None:
         dst[half] = np.flip(src[half], -1 - target) if bit else src[half]
 
 
-def _rotation_matrices(kind: str, thetas) -> np.ndarray:
-    """RX or RY at each angle of ``thetas``, (len(thetas), 2, 2)."""
-    if kind not in ("RX", "RY"):
-        raise ValueError(kind)
-    mats = []
-    for theta in thetas:
-        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-        mats.append([[c, -1j * s], [-1j * s, c]] if kind == "RX" else [[c, -s], [s, c]])
-    return np.array(mats, dtype=complex)
-
-
 def _angle(op: GateOp, params) -> float:
     return op.angle if op.param is None else float(params[op.param])
 
@@ -193,8 +180,9 @@ def _angle(op: GateOp, params) -> float:
 def gate_matrix(op: GateOp, params=None) -> np.ndarray:
     """Dense matrix of a single-qubit gate (2x2) or an RZZ (4x4) on its own
     targets."""
-    if op.kind in ("RX", "RY"):
-        return _rotation_matrices(op.kind, [_angle(op, params)])[0]
+    if op.kind in _GENERATORS:
+        half = _angle(op, params) / 2.0
+        return math.cos(half) * _I_MAT + math.sin(half) * _GENERATORS[op.kind]
     if op.kind in DIAGONAL_KINDS:
         local = _phase_column(op.kind, len(op.targets), tuple(range(len(op.targets))))
         return np.diag(np.exp(-1j * (_angle(op, params) * local)))
@@ -221,24 +209,77 @@ class DiagonalRun(NamedTuple):
     fixed: np.ndarray | None
 
 
+class LocalLayer(NamedTuple):
+    """A maximal run of consecutive RX, RY, H and X gates, as one matrix.
+
+    Gates on different qubits commute, so the layer is the Kronecker
+    product of one 2 x 2 factor per qubit: its qubit's gates multiplied in
+    circuit order (the identity on a qubit without gates).  ``slots`` holds
+    the run's distinct parameter slots in order of first gate, and
+    ``qubits`` the qubits it acts on, ascending.  The rest is compiled from
+    ``ops`` for :func:`_layer_factors`: the slot and the generator -iX or
+    -iY of each parameterised gate, in gate order; the matrices of the
+    other gates, then the identity; and ``stages``, where stages[j, q]
+    indexes qubit q's (j + 1)-th gate in those two lists joined, or the
+    identity once its gates run out.
+    """
+
+    ops: tuple[GateOp, ...]
+    slots: tuple[int, ...]
+    qubits: tuple[int, ...]
+    gate_slots: np.ndarray
+    gens: np.ndarray
+    fixed: np.ndarray
+    stages: np.ndarray
+
+
+def _step_kind(op: GateOp) -> str:
+    if op.kind in DIAGONAL_KINDS:
+        return "diagonal"
+    return "CNOT" if op.kind == "CNOT" else "local"
+
+
 def _compile(circuit: Circuit) -> tuple:
     n = circuit.num_qubits
     steps = []
-    runs = itertools.groupby(circuit.ops, lambda op: op.kind in DIAGONAL_KINDS)
-    for diagonal, ops in runs:
-        if not diagonal:
+    for kind, ops in itertools.groupby(circuit.ops, _step_kind):
+        if kind == "CNOT":
             steps.extend(ops)
-            continue
-        # slot -> the sum of its gates' columns, slots in order of first gate
-        cols, fixed = {}, None
-        for op in ops:
-            col = _phase_column(op.kind, n, op.targets)
-            if op.param is None:
-                fixed = op.angle * col if fixed is None else fixed + op.angle * col
-            else:  # a slot of one gate shares that gate's column
-                cols[op.param] = cols[op.param] + col if op.param in cols else col
-        steps.append(DiagonalRun(tuple(cols), tuple(cols.values()), fixed))
+        elif kind == "local":
+            steps.append(_local_layer(tuple(ops), n))
+        else:
+            # slot -> the sum of its gates' columns, slots in order of first gate
+            cols, fixed = {}, None
+            for op in ops:
+                col = _phase_column(op.kind, n, op.targets)
+                if op.param is None:
+                    fixed = op.angle * col if fixed is None else fixed + op.angle * col
+                else:  # a slot of one gate shares that gate's column
+                    cols[op.param] = cols[op.param] + col if op.param in cols else col
+            steps.append(DiagonalRun(tuple(cols), tuple(cols.values()), fixed))
     return tuple(steps)
+
+
+def _local_layer(ops: tuple[GateOp, ...], n: int) -> LocalLayer:
+    rotations = [op for op in ops if op.param is not None]
+    fixed = [gate_matrix(op) for op in ops if op.param is None] + [_I_MAT]
+    # each gate's index in rotations + fixed, appended to its qubit's chain
+    index = {True: itertools.count(), False: itertools.count(len(rotations))}
+    chains = [[] for _ in range(n)]
+    for op in ops:
+        chains[op.targets[0]].append(next(index[op.param is not None]))
+    stages = np.full((max(map(len, chains)), n), len(rotations) + len(fixed) - 1)
+    for q, chain in enumerate(chains):
+        stages[: len(chain), q] = chain
+    return LocalLayer(
+        ops,
+        tuple(dict.fromkeys(op.param for op in rotations)),
+        tuple(q for q in range(n) if chains[q]),
+        np.array([op.param for op in rotations], dtype=np.intp),
+        np.array([_GENERATORS[op.kind] for op in rotations]).reshape(-1, 2, 2),
+        np.array(fixed),
+        stages,
+    )
 
 
 def sweep_circuit(circuit: Circuit, params, init: np.ndarray, delta=None) -> np.ndarray:
@@ -251,18 +292,17 @@ def sweep_circuit(circuit: Circuit, params, init: np.ndarray, delta=None) -> np.
     params[b] + delta e_q.
 
     One pass over the program serves every row of every branch, each step
-    one kernel call over the swept prefix of rows.  Row 1 + q belongs to
-    slot q throughout: before each step the prefix grows, by copies of
-    row 0, to take the rows of the step's slots, and the slots no gate
-    uses take row 0 at the end.  A single gate acts on all rows with a
-    per-branch matrix, and on its slot's row with the gate at the
-    perturbed angle, writing into a second buffer; the two buffers swap
-    after every gate, so no gate's result is a new array or is copied back
-    (the kernel's second product still takes one temporary).  A diagonal
-    run multiplies the rows in place by its phase, then each of its slots'
-    rows by that slot's bump exp(-i delta col): the run's gates commute,
-    so the bump may wait for the run's end.  Row 0 takes the same
-    operations with or without ``delta``, so it is the family bit for bit.
+    over the swept prefix of rows.  Row 1 + q belongs to slot q throughout:
+    before each step the prefix grows, by copies of row 0, to take the rows
+    of the step's slots, and the slots no gate uses take row 0 at the end.
+    A layer of single-qubit gates is two GEMMs (:func:`_apply_layer`) and a
+    CNOT a permutation, each writing into a second buffer; the two buffers
+    swap after each write, so no step's result is a new array or is copied
+    back.  A diagonal run multiplies the rows in place by its phase, then
+    each of its slots' rows by that slot's bump exp(-i delta col): the
+    run's gates commute, so the bump may wait for the run's end.  Row 0
+    takes the same operations with or without ``delta``, so it is the
+    family bit for bit.
     """
     params = np.asarray(params, dtype=float)
     g, m = params.shape
@@ -272,43 +312,92 @@ def sweep_circuit(circuit: Circuit, params, init: np.ndarray, delta=None) -> np.
     src[:, 0] = init
     live = 1  # rows swept so far
     for step in circuit.program:
-        run = isinstance(step, DiagonalRun)
+        if isinstance(step, GateOp):  # a CNOT
+            _apply_cnot(src[:, :live], *step.targets, n, out=dst[:, :live])
+            src, dst = dst, src
+            continue
         if delta is not None:
-            slots = step.slots if run else () if step.param is None else (step.param,)
-            top = 2 + max(slots, default=-1)
+            top = 2 + max(step.slots, default=-1)
             if top > live:
                 src[:, live:top] = src[:, :1]
                 live = top
-        if run:
-            src[:, :live] *= _phase(params[:, None, None], step)
-            if delta is not None:
-                bumps = np.exp(-1j * delta * np.reshape(step.cols, (len(slots), 1, 2**n)))
-                src[:, [1 + q for q in slots]] *= bumps
+        if isinstance(step, LocalLayer):
+            if _apply_layer(step, src[:, :live], dst[:, :live], params, delta, n):
+                src, dst = dst, src
             continue
-        if step.kind == "CNOT":
-            _apply_cnot(src[:, :live], *step.targets, n, out=dst[:, :live])
-        else:
-            mats = _gate_mats(step, params, live, delta)
-            _apply_1q(src[:, :live], mats, step.targets[0], n, out=dst[:, :live])
-        src, dst = dst, src
+        src[:, :live] *= _phase(params[:, None, None], step)
+        if delta is not None:
+            bumps = np.exp(-1j * delta * np.reshape(step.cols, (len(step.slots), 1, 2**n)))
+            src[:, [1 + q for q in step.slots]] *= bumps
     src[:, live:] = src[:, :1]
     return src
 
 
-def _gate_mats(op: GateOp, params: np.ndarray, live: int, delta):
-    """A single gate's matrices in the sweep: shared, per branch (g, 1, 1,
-    2, 2) without ``delta``, else per branch and row (g, live, 1, 2, 2)
-    with the slot's row 1 + slot at its angle + delta."""
-    if op.param is None:
-        return gate_matrix(op)  # H, X or a fixed angle
-    theta = params[:, op.param].tolist()
-    base = _rotation_matrices(op.kind, theta)[:, None, None]
-    if delta is None:
-        return base
-    mats = np.empty((len(theta), live, 1, 2, 2), dtype=complex)
-    mats[:] = base
-    mats[:, 1 + op.param, 0] = _rotation_matrices(op.kind, [t + delta for t in theta])
-    return mats
+def _layer_factors(layer: LocalLayer, params: np.ndarray, delta) -> np.ndarray:
+    """The layer's per-qubit factors, (g, variants, n, 2, 2): variant 0 at
+    each branch's ``params`` and, with ``delta``, variant 1 + k with slot
+    ``layer.slots[k]``'s gates at angle + delta."""
+    theta = params[:, None, layer.gate_slots]  # (g, 1, rotations)
+    if delta is not None and layer.slots:
+        theta = theta + delta * np.equal.outer((-1,) + layer.slots, layer.gate_slots)
+    half = theta[..., None, None] / 2.0
+    p = len(layer.gate_slots)
+    mats = np.empty(theta.shape[:2] + (p + len(layer.fixed), 2, 2), dtype=complex)
+    np.multiply(np.cos(half), _I_MAT, out=mats[:, :, :p])
+    mats[:, :, :p] += np.sin(half) * layer.gens
+    mats[:, :, p:] = layer.fixed
+    facs = mats[:, :, layer.stages[0]]
+    for stage in layer.stages[1:]:
+        facs = mats[:, :, stage] @ facs
+    return facs
+
+
+def _kron(facs: np.ndarray) -> np.ndarray:
+    """kron(facs[..., -1, :, :], ..., facs[..., 0, :, :]): factor j acts on
+    bit j of the row and column index."""
+    out = facs[..., -1, :, :]
+    for j in range(facs.shape[-3] - 2, -1, -1):
+        prod = out[..., :, None, :, None] * facs[..., j, None, :, None, :]
+        out = prod.reshape(prod.shape[:-4] + (2 * out.shape[-1],) * 2)
+    return out
+
+
+def _apply_layer(layer, src, dst, params, delta, n) -> bool:
+    """Multiply the rows (g, live, labels, 2**n) of ``src`` by the layer,
+    K_hi (x) K_lo, with ``dst`` as the second buffer; True when the result
+    ends in ``dst``.
+
+    With h = n // 2, K_lo is the Kronecker product of the factors on qubits
+    h-1 .. 0 and K_hi of those on n-1 .. h.  Each row, seen as a
+    (2**(n-h), 2**h) matrix A per label, becomes K_hi A K_lo^T: one matmul
+    per half that has a gate.  Each K is built once per variant and then
+    taken per row: row 1 + s takes slot s's, every other row its branch's
+    base.
+    """
+    g, live = src.shape[:2]
+    h = n // 2
+    facs = _layer_factors(layer, params, delta)
+    rows = None
+    if facs.shape[1] > 1:  # the variant of each row
+        rows = np.zeros(live, dtype=np.intp)
+        rows[[1 + s for s in layer.slots]] = np.arange(1, facs.shape[1])
+
+    def kron(qubits: slice) -> np.ndarray:  # (g, 1 or live, 2**k, 2**k)
+        k = _kron(facs[:, :, qubits])
+        return k if rows is None else k[:, rows]
+
+    swapped = False
+    if layer.qubits[0] < h:
+        shape = (g, live, -1, 2**h)  # labels and high bits as the GEMM's M
+        out = dst.reshape(shape, copy=False)
+        np.matmul(src.reshape(shape, copy=False), kron(slice(h)).swapaxes(-1, -2), out=out)
+        src, dst, swapped = dst, src, True
+    if layer.qubits[-1] >= h:
+        shape = src.shape[:3] + (2 ** (n - h), 2**h)
+        out = dst.reshape(shape, copy=False)
+        np.matmul(kron(slice(h, n))[:, :, None], src.reshape(shape, copy=False), out=out)
+        swapped = not swapped
+    return swapped
 
 
 def apply_circuit_array(amps: np.ndarray, circuit: Circuit, params) -> np.ndarray:

@@ -40,7 +40,9 @@ from hybridtn.pauli import Hamiltonian, PauliTerm, build_1d_cluster, build_2d_we
 from hybridtn.statevector import (
     GATE_KINDS,
     Circuit,
+    DiagonalRun,
     GateOp,
+    LocalLayer,
     apply_circuit_array,
     apply_pauli_array,
     build_hardware_efficient_ansatz,
@@ -864,10 +866,13 @@ def test_perturbed_stack_matches_per_row_circuits(initial_bits):
 def test_diagonal_runs_are_fused():
     steps = circuit_from_json(DIAGONAL_RUN_CIRCUIT).program
     kinds = [s.kind if isinstance(s, GateOp) else s.slots for s in steps]
-    assert kinds == ["H", "H", (2, 0), "X", (4,), "CNOT", (1, 2), "H", "RX", "RY"]
+    # runs of single-qubit gates are layers, shown as their slots
+    assert kinds == [(), (2, 0), (), (4,), "CNOT", (1, 2), (0, 3)]
+    layer, run = LocalLayer, DiagonalRun
+    assert [type(s) for s in steps] == [layer, run, layer, run, GateOp, run, layer]
     # slot 2's two gates share one column; the fixed angles fold into one vector
-    assert len(steps[2].cols) == 2
-    assert [steps[i].fixed is None for i in (2, 4, 6)] == [False, True, False]
+    assert len(steps[1].cols) == 2
+    assert [steps[i].fixed is None for i in (1, 3, 5)] == [False, True, False]
 
 
 @st.composite

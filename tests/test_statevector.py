@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from hybridtn.pauli import PauliTerm
 from hybridtn.statevector import (
     Circuit,
+    DiagonalRun,
     GateOp,
+    LocalLayer,
     StateVector,
     ansatz_param_count,
     apply_circuit,
@@ -25,6 +27,7 @@ from hybridtn.statevector import (
     inner_product,
     pauli_expectation,
     sample_pauli_expectation,
+    sweep_circuit,
 )
 from hybridtn.verify import random_circuit
 
@@ -141,6 +144,39 @@ def test_circuit_matches_accumulated_matrix():
     np.testing.assert_allclose(got, dense_circuit(circuit, params) @ amps, atol=1e-10)
 
 
+def test_local_layers_match_per_row_circuits_and_dense_gates():
+    # one layer of single-qubit gates per register size: at n = 1 the low
+    # half is empty and odd n splits unequally; slot 0 drives an RY on every
+    # qubit, so on both halves, and qubit 0 chains H, a fixed-angle RY and
+    # slot 1's RX, which do not commute
+    rng = np.random.default_rng(9)
+    delta = 1e-3
+    for n in range(1, 6):
+        ops = [GateOp("H", (0,)), GateOp("RY", (0,), angle=0.83), GateOp("RX", (0,), param=1)]
+        ops += [GateOp("RY", (q,), param=0) for q in range(n)]
+        ops += [GateOp("X", (n - 1,)), GateOp("RX", (n - 1,), param=2)]
+        circuit = Circuit(n, tuple(ops), 3)
+        (layer,) = circuit.program
+        assert isinstance(layer, LocalLayer) and layer.slots == (1, 0, 2)
+        params = rng.uniform(-np.pi, np.pi, (2, 3))
+        init = np.stack([random_state(rng, n) for _ in range(2)])
+        stack = sweep_circuit(circuit, params, init, delta)
+        for branch, vec in zip(stack, params):
+            assert np.array_equal(branch[0], apply_circuit_array(init, circuit, vec))
+            for q in range(3):
+                bumped = vec.copy()
+                bumped[q] += delta
+                want = apply_circuit_array(init, circuit, bumped)
+                assert np.abs(branch[1 + q] - want).max() <= 1e-12
+                dense = init @ dense_circuit(circuit, bumped).T
+                assert np.abs(want - dense).max() <= 1e-10
+        batch = np.stack([random_state(rng, n) for _ in range(6)]).reshape(2, 3, -1)
+        got = apply_circuit_array(batch, circuit, params[0])
+        assert got.shape == batch.shape
+        want = batch @ dense_circuit(circuit, params[0]).T
+        np.testing.assert_allclose(got, want, atol=1e-12)
+
+
 def test_basis_state_labels():
     state = init_basis_state(3, "011")
     assert state.amps[3] == 1.0
@@ -245,6 +281,12 @@ def test_ansatz_extra_ry_layers():
     deep = build_hardware_efficient_ansatz(3, 4)
     assert sum(1 for op in shallow.ops if op.kind == "RY") == 3
     assert sum(1 for op in deep.ops if op.kind == "RY") == 6
+
+
+def test_ansatz_program_alternates_layers_and_diagonal_runs():
+    program = build_hardware_efficient_ansatz(8, 4).program
+    assert [type(step) for step in program] == [LocalLayer, DiagonalRun] * 4
+    assert program[0].slots == tuple(range(16))  # the RY layer, then RX
 
 
 def test_ansatz_identity_at_zero():
