@@ -60,14 +60,14 @@ CONFIG_VERSION = 1
 
 MODELS = ("1d_cluster", "2d_web")
 
-# run and sweep refuse a config whose run_bytes_estimate exceeds this.  A
-# layer of single-qubit gates writes its two GEMMs into the sweep's two
-# buffers, which the estimate counts, but builds its Kronecker factors on
-# top: per half, one matrix per variant and one per row, at most 2 *
-# 4**ceil(q/2) complex numbers per row of a q-qubit sweep.  That is at most
-# four times the largest sweep buffer (twice it for a branch sweep, whose
-# rows hold 2 labels), and 2 GiB keeps it within an ordinary machine's
-# memory, where a larger run would end in a MemoryError or an OOM kill.
+# run and sweep refuse a config whose run_bytes_estimate exceeds this, which
+# keeps a run within an ordinary machine's memory, where a larger one would
+# end in a MemoryError or an OOM kill.  A layer of single-qubit gates writes
+# its GEMMs into the sweep's two buffers, which the estimate counts, and
+# builds its Kronecker factors on top: one per variant (the base and one per
+# slot of the layer, at most 2q + 1 on q qubits), never one per row, under
+# 3 * 4**min(ceil(q/2), 4) + 64 q complex numbers per variant and branch.
+# That is at most 14 MiB for any config within the limit.
 RUN_BYTES_LIMIT = 2**31
 
 
@@ -236,7 +236,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 def run_bytes_estimate(config: ExperimentConfig) -> int:
     """Bytes the flow holds at once, without allocating any of it, apart
-    from a layer's passing Kronecker factors (see RUN_BYTES_LIMIT).
+    from a layer's passing Kronecker factors, which stay under 14 MiB
+    within the limit (see RUN_BYTES_LIMIT).
 
     Every open node keeps its perturbed stack of (params + 1) * labels *
     2**qubits complex amplitudes: k branches of n qubits with 2 labels,

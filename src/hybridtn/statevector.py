@@ -14,12 +14,14 @@ Conventions, fixed across the package:
 A circuit runs as its compiled :attr:`Circuit.program`: each maximal run
 of consecutive RZ and RZZ gates is one diagonal phase, each maximal run of
 consecutive RX, RY, H and X gates one Kronecker-product layer applied as
-two matrix products, and each CNOT a permutation.  :func:`sweep_circuit`
-is the one runner of a program.  It takes the branches that share a
-circuit, each with its own parameters, and with a finite-difference
-``delta`` also every single-slot perturbed state of each, in one pass;
-the variational engine's stencil uses that.  :func:`apply_circuit_array`
-is its one-branch call, for any leading batch dimensions.
+one matrix product per piece of the register (its two halves, or pieces
+of at most four qubits past eight), and each CNOT a permutation.
+:func:`sweep_circuit` is the one runner of a program.  It takes the
+branches that share a circuit, each with its own parameters, and with a
+finite-difference ``delta`` also every single-slot perturbed state of
+each, in one pass; the variational engine's stencil uses that.
+:func:`apply_circuit_array` is its one-branch call, for any leading batch
+dimensions.
 """
 
 from __future__ import annotations
@@ -215,18 +217,19 @@ class LocalLayer(NamedTuple):
     Gates on different qubits commute, so the layer is the Kronecker
     product of one 2 x 2 factor per qubit: its qubit's gates multiplied in
     circuit order (the identity on a qubit without gates).  ``slots`` holds
-    the run's distinct parameter slots in order of first gate, and
-    ``qubits`` the qubits it acts on, ascending.  The rest is compiled from
-    ``ops`` for :func:`_layer_factors`: the slot and the generator -iX or
-    -iY of each parameterised gate, in gate order; the matrices of the
-    other gates, then the identity; and ``stages``, where stages[j, q]
-    indexes qubit q's (j + 1)-th gate in those two lists joined, or the
-    identity once its gates run out.
+    the run's distinct parameter slots in order of first gate, ``runs`` the
+    (first, last) of each maximal range of consecutive slots among them,
+    ascending, and ``pieces`` the ranges of :func:`_layer_pieces` that hold
+    a gate.  The rest is compiled for :func:`_layer_factors`: the slot and
+    the generator -iX or -iY of each parameterised gate, in gate order; the
+    matrices of the other gates, then the identity; and ``stages``, where
+    stages[j, q] indexes qubit q's (j + 1)-th gate in those two lists
+    joined, or the identity once its gates run out.
     """
 
-    ops: tuple[GateOp, ...]
     slots: tuple[int, ...]
-    qubits: tuple[int, ...]
+    runs: tuple[tuple[int, int], ...]
+    pieces: tuple[tuple[int, int], ...]
     gate_slots: np.ndarray
     gens: np.ndarray
     fixed: np.ndarray
@@ -271,10 +274,15 @@ def _local_layer(ops: tuple[GateOp, ...], n: int) -> LocalLayer:
     stages = np.full((max(map(len, chains)), n), len(rotations) + len(fixed) - 1)
     for q, chain in enumerate(chains):
         stages[: len(chain), q] = chain
+    slots = tuple(dict.fromkeys(op.param for op in rotations))
+    runs = []  # slot s - its rank is constant along a range of consecutive slots
+    for _, run in itertools.groupby(enumerate(sorted(slots)), lambda js: js[1] - js[0]):
+        run = [slot for _, slot in run]
+        runs.append((run[0], run[-1]))
     return LocalLayer(
-        ops,
-        tuple(dict.fromkeys(op.param for op in rotations)),
-        tuple(q for q in range(n) if chains[q]),
+        slots,
+        tuple(runs),
+        tuple((lo, hi) for lo, hi in _layer_pieces(n) if any(chains[lo:hi])),
         np.array([op.param for op in rotations], dtype=np.intp),
         np.array([_GENERATORS[op.kind] for op in rotations]).reshape(-1, 2, 2),
         np.array(fixed),
@@ -295,14 +303,14 @@ def sweep_circuit(circuit: Circuit, params, init: np.ndarray, delta=None) -> np.
     over the swept prefix of rows.  Row 1 + q belongs to slot q throughout:
     before each step the prefix grows, by copies of row 0, to take the rows
     of the step's slots, and the slots no gate uses take row 0 at the end.
-    A layer of single-qubit gates is two GEMMs (:func:`_apply_layer`) and a
-    CNOT a permutation, each writing into a second buffer; the two buffers
-    swap after each write, so no step's result is a new array or is copied
-    back.  A diagonal run multiplies the rows in place by its phase, then
-    each of its slots' rows by that slot's bump exp(-i delta col): the
-    run's gates commute, so the bump may wait for the run's end.  Row 0
-    takes the same operations with or without ``delta``, so it is the
-    family bit for bit.
+    A layer of single-qubit gates is a GEMM per piece of the register
+    (:func:`_apply_layer`) and a CNOT a permutation, each writing into a
+    second buffer; the two buffers swap after each write, so no step's
+    result is a new array or is copied back.  A diagonal run multiplies
+    the rows in place by its phase, then each of its slots' rows by that
+    slot's bump exp(-i delta col): the run's gates commute, so the bump may
+    wait for the run's end.  Row 0 takes the same operations with or
+    without ``delta``, so it is the family bit for bit.
     """
     params = np.asarray(params, dtype=float)
     g, m = params.shape
@@ -335,11 +343,12 @@ def sweep_circuit(circuit: Circuit, params, init: np.ndarray, delta=None) -> np.
 
 def _layer_factors(layer: LocalLayer, params: np.ndarray, delta) -> np.ndarray:
     """The layer's per-qubit factors, (g, variants, n, 2, 2): variant 0 at
-    each branch's ``params`` and, with ``delta``, variant 1 + k with slot
-    ``layer.slots[k]``'s gates at angle + delta."""
+    each branch's ``params`` and, with ``delta``, variant 1 + k with the
+    k-th lowest of the layer's slots at angle + delta."""
     theta = params[:, None, layer.gate_slots]  # (g, 1, rotations)
     if delta is not None and layer.slots:
-        theta = theta + delta * np.equal.outer((-1,) + layer.slots, layer.gate_slots)
+        variants = [-1, *sorted(layer.slots)]
+        theta = theta + delta * np.equal.outer(variants, layer.gate_slots)
     half = theta[..., None, None] / 2.0
     p = len(layer.gate_slots)
     mats = np.empty(theta.shape[:2] + (p + len(layer.fixed), 2, 2), dtype=complex)
@@ -362,41 +371,79 @@ def _kron(facs: np.ndarray) -> np.ndarray:
     return out
 
 
+# A layer's Kronecker factors span at most _PIECE_QUBITS qubits each, and
+# each of its GEMMs multiplies a factor with at most _GEMM_COLUMNS rows or
+# columns of amplitudes: 16 x 16 x 128 complex multiply-adds stay under the
+# size at which OpenBLAS splits a GEMM over threads, which on a busy host
+# can cost milliseconds per call.
+_PIECE_QUBITS = 4
+_GEMM_COLUMNS = 128
+
+
+def _layer_pieces(n: int) -> list[tuple[int, int]]:
+    """The qubit ranges [lo, hi) of a layer's Kronecker factors, lowest
+    first: the halves split at n // 2 up to 2 * _PIECE_QUBITS qubits, more
+    and narrower equal pieces past that."""
+    count = max(2, -(-n // _PIECE_QUBITS))
+    bounds = [j * n // count for j in range(count + 1)]
+    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+
+
+def _row_blocks(layer: LocalLayer, live: int, delta) -> list[tuple[slice, slice]]:
+    """Rows 0 .. live as (rows, variants) slice pairs: the rows 1 + s of
+    each run of consecutive slots with their variants, in the order of
+    :func:`_layer_factors`, and the rows between with variant 0."""
+    if delta is None or not layer.runs:
+        return [(slice(0, live), slice(0, 1))]
+    blocks, row, variant = [], 0, 1
+    for first, last in layer.runs:
+        if row < 1 + first:
+            blocks.append((slice(row, 1 + first), slice(0, 1)))
+        count = last - first + 1
+        blocks.append((slice(1 + first, 2 + last), slice(variant, variant + count)))
+        row, variant = 2 + last, variant + count
+    if row < live:
+        blocks.append((slice(row, live), slice(0, 1)))
+    return blocks
+
+
 def _apply_layer(layer, src, dst, params, delta, n) -> bool:
     """Multiply the rows (g, live, labels, 2**n) of ``src`` by the layer,
-    K_hi (x) K_lo, with ``dst`` as the second buffer; True when the result
-    ends in ``dst``.
+    the Kronecker product of its pieces' factors (:func:`_layer_pieces`),
+    with ``dst`` as the second buffer; True when the result ends in
+    ``dst``.
 
-    With h = n // 2, K_lo is the Kronecker product of the factors on qubits
-    h-1 .. 0 and K_hi of those on n-1 .. h.  Each row, seen as a
-    (2**(n-h), 2**h) matrix A per label, becomes K_hi A K_lo^T: one matmul
-    per half that has a gate.  Each K is built once per variant and then
-    taken per row: row 1 + s takes slot s's, every other row its branch's
-    base.
+    Each piece [lo, hi) that has a gate is one matmul per block of rows:
+    seen as a (labels 2**(n-hi), 2**(hi-lo), 2**lo) array A per row, a row
+    becomes K A, with K the piece's factor, or A K^T for the lowest piece.
+    A row's K is its variant's (:func:`_row_blocks`): a run of slot rows
+    takes the run's stack of variants, the other rows the branch's base,
+    broadcast, so no K is copied per row.
     """
     g, live = src.shape[:2]
-    h = n // 2
     facs = _layer_factors(layer, params, delta)
-    rows = None
-    if facs.shape[1] > 1:  # the variant of each row
-        rows = np.zeros(live, dtype=np.intp)
-        rows[[1 + s for s in layer.slots]] = np.arange(1, facs.shape[1])
-
-    def kron(qubits: slice) -> np.ndarray:  # (g, 1 or live, 2**k, 2**k)
-        k = _kron(facs[:, :, qubits])
-        return k if rows is None else k[:, rows]
-
+    blocks = _row_blocks(layer, live, delta)
     swapped = False
-    if layer.qubits[0] < h:
-        shape = (g, live, -1, 2**h)  # labels and high bits as the GEMM's M
+    for lo, hi in layer.pieces:
+        k = _kron(facs[:, :, lo:hi])
+        if lo == 0:  # labels and high bits as the GEMM's M, in chunks
+            m = math.gcd(src.shape[2] * 2 ** (n - hi), _GEMM_COLUMNS)
+            shape = (g, live, -1, m, 2**hi)
+            k = k.swapaxes(-1, -2)[:, :, None]
+        else:  # low bits as the GEMM's N, in chunks
+            c = min(2**lo, _GEMM_COLUMNS)
+            shape = (g, live, -1, 2 ** (hi - lo), 2**lo // c, c)
+            k = k[:, :, None, None]
+        a = src.reshape(shape, copy=False)
         out = dst.reshape(shape, copy=False)
-        np.matmul(src.reshape(shape, copy=False), kron(slice(h)).swapaxes(-1, -2), out=out)
-        src, dst, swapped = dst, src, True
-    if layer.qubits[-1] >= h:
-        shape = src.shape[:3] + (2 ** (n - h), 2**h)
-        out = dst.reshape(shape, copy=False)
-        np.matmul(kron(slice(h, n))[:, :, None], src.reshape(shape, copy=False), out=out)
-        swapped = not swapped
+        if lo:
+            a, out = a.swapaxes(-3, -2), out.swapaxes(-3, -2)
+        for rows, variants in blocks:
+            if lo == 0:
+                np.matmul(a[:, rows], k[:, variants], out=out[:, rows])
+            else:
+                np.matmul(k[:, variants], a[:, rows], out=out[:, rows])
+        src, dst, swapped = dst, src, not swapped
     return swapped
 
 

@@ -145,10 +145,10 @@ def test_circuit_matches_accumulated_matrix():
 
 
 def test_local_layers_match_per_row_circuits_and_dense_gates():
-    # one layer of single-qubit gates per register size: at n = 1 the low
-    # half is empty and odd n splits unequally; slot 0 drives an RY on every
-    # qubit, so on both halves, and qubit 0 chains H, a fixed-angle RY and
-    # slot 1's RX, which do not commute
+    # one layer of single-qubit gates per register size: at n = 1 it is one
+    # piece and odd n splits unequally; slot 0 drives an RY on every qubit,
+    # so on both halves, and qubit 0 chains H, a fixed-angle RY and slot 1's
+    # RX, which do not commute
     rng = np.random.default_rng(9)
     delta = 1e-3
     for n in range(1, 6):
@@ -175,6 +175,49 @@ def test_local_layers_match_per_row_circuits_and_dense_gates():
         assert got.shape == batch.shape
         want = batch @ dense_circuit(circuit, params[0]).T
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def apply_gates_one_by_one(amps: np.ndarray, circuit: Circuit, params) -> np.ndarray:
+    """Each single-qubit gate as a contraction with its 2 x 2 matrix."""
+    n = circuit.num_qubits
+    for op in circuit.ops:
+        q = op.targets[0]
+        view = amps.reshape(amps.shape[:-1] + (2 ** (n - 1 - q), 2, 2**q))
+        amps = np.einsum("ij,...ajb->...aib", gate_matrix(op, params), view)
+        amps = amps.reshape(amps.shape[:-3] + (2**n,))
+    return amps
+
+
+def test_wide_registers_split_layers_into_narrow_pieces():
+    # past 8 qubits a layer is three or more Kronecker factors of at most 4
+    # qubits; at n = 12 the lowest piece's GEMM rows and the highest
+    # piece's columns come in chunks.  The layer's slots 4, 1 and 2 leave
+    # rows of slots 0, 3 and 5 (used by the RZ gates after it) between
+    # their row ranges, which must take the base factors
+    rng = np.random.default_rng(11)
+    delta = 1e-3
+    for n, pieces in ((9, ((0, 3), (3, 6), (6, 9))), (12, ((0, 4), (4, 8), (8, 12)))):
+        ops = [GateOp("RY", (q,), param=4) for q in range(n)]
+        ops += [GateOp("H", (2,)), GateOp("RX", (2,), param=1), GateOp("X", (n - 1,))]
+        ops += [GateOp("RX", (q,), param=2) for q in range(0, n, 3)]
+        ops += [GateOp("RZ", (q,), param=slot) for q, slot in ((0, 0), (5, 3), (n - 1, 5))]
+        circuit = Circuit(n, tuple(ops), 6)
+        layer = circuit.program[0]
+        assert layer.slots == (4, 1, 2) and layer.runs == ((1, 2), (4, 4))
+        assert layer.pieces == pieces
+        params = rng.uniform(-np.pi, np.pi, (2, 6))
+        init = np.stack([random_state(rng, n) for _ in range(2)])
+        stack = sweep_circuit(circuit, params, init, delta)
+        for branch, vec in zip(stack, params):
+            assert np.array_equal(branch[0], apply_circuit_array(init, circuit, vec))
+            for q in range(6):
+                bumped = vec.copy()
+                bumped[q] += delta
+                want = apply_gates_one_by_one(init, circuit, bumped)
+                assert np.abs(branch[1 + q] - want).max() <= 1e-12
+        batch = np.stack([random_state(rng, n) for _ in range(6)]).reshape(2, 3, -1)
+        got = apply_circuit_array(batch, circuit, params[0])
+        np.testing.assert_allclose(got, apply_gates_one_by_one(batch, circuit, params[0]), atol=1e-12)
 
 
 def test_basis_state_labels():
@@ -287,6 +330,7 @@ def test_ansatz_program_alternates_layers_and_diagonal_runs():
     program = build_hardware_efficient_ansatz(8, 4).program
     assert [type(step) for step in program] == [LocalLayer, DiagonalRun] * 4
     assert program[0].slots == tuple(range(16))  # the RY layer, then RX
+    assert program[0].pieces == ((0, 4), (4, 8))  # the halves below and from n // 2
 
 
 def test_ansatz_identity_at_zero():
