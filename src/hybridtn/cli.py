@@ -17,7 +17,8 @@ Exit codes: 0 success, 2 config error, 3 oracle limit, 4 optimizer did
 not converge (results are still written; stderr says why it stopped:
 "max_iters", "stalled", or a metric, gradient, candidate step or energy
 that turned non-finite).  A model whose coefficients' absolute sum, the
-bound on its norm, is not finite is a config error.
+bound on its norm, is not finite is a config error, and so, for ``run``
+and ``sweep``, is one whose energies round by ``ite.conv_tol`` or more.
 """
 
 from __future__ import annotations
@@ -65,8 +66,9 @@ MODELS = ("1d_cluster", "2d_web")
 # end in a MemoryError or an OOM kill.  A layer of single-qubit gates writes
 # its GEMMs into the sweep's two buffers, which the estimate counts, and
 # builds its Kronecker factors on top: one per variant (the base and one per
-# slot of the layer, at most 2q + 1 on q qubits), never one per row, under
-# 3 * 4**min(ceil(q/2), 4) + 64 q complex numbers per variant and branch.
+# slot of the layer's slot range, at most 2q + 1 on q qubits for the
+# ansatz), never one per row, under 3 * 4**min(q, 4) + 64 q complex numbers
+# per variant and branch.
 # That is at most 14 MiB for any config within the limit.
 RUN_BYTES_LIMIT = 2**31
 
@@ -304,6 +306,19 @@ def build_model(config: ExperimentConfig, lam: float):
     return h, layout
 
 
+def _require_flow_resolves(config: ExperimentConfig, h: Hamiltonian, lam) -> None:
+    """Refuse a model whose energies round by ite.conv_tol or more: there
+    the flow's flat-energy test cannot tell convergence from rounding."""
+    rounding = np.finfo(float).eps * sum(abs(t.coefficient) for t in h.terms)
+    if rounding >= config.ite.conv_tol:
+        raise ConfigError(
+            f"at lambda {lam!r} the energy rounds by eps * sum |c_t| = "
+            f"{rounding:.3g}, not below ite.conv_tol {config.ite.conv_tol!r}, so "
+            "convergence cannot be told from rounding; raise ite.conv_tol or "
+            "lower lambda"
+        )
+
+
 def build_tree(config: ExperimentConfig):
     root = build_hardware_efficient_ansatz(config.k, config.d_v)
     branches = [
@@ -364,6 +379,7 @@ def run_point(config: ExperimentConfig, lam: float, out_dir: Path) -> tuple[dict
     the optimizer stopped."""
     _require_run_fits(config)
     h, _layout = build_model(config, lam)
+    _require_flow_resolves(config, h, lam)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "hamiltonian.txt").write_text(hamiltonian_to_text(h))
 
@@ -445,7 +461,7 @@ def cmd_sweep(config: ExperimentConfig, out_dir: Path) -> int:
     lams = config.lam if isinstance(config.lam, list) else [float(config.lam)]
     _require_run_fits(config)
     for lam in lams:  # a bad model ends the sweep before any point runs
-        build_model(config, lam)
+        _require_flow_resolves(config, build_model(config, lam)[0], lam)
     jobs = [
         (index, lam, out_dir / f"point_{index:02d}") for index, lam in enumerate(lams)
     ]

@@ -381,6 +381,7 @@ class TreeProblem:
             raise ValueError("Hamiltonian register does not match the tree layout")
         self.tree = tree
         self.h = h
+        self.num_params = tree.num_params
         self.factors = decompose_for_layout(h, tree.layout)
         self._words: dict = {}  # compiled local words per quantum leaf
         self._point: tuple | None = None
@@ -391,33 +392,36 @@ class TreeProblem:
             for i, start, stop in tree.param_slices()
             if stop > start
         ]
-        # the open payloads' circuits as (circuit, initial states, members),
-        # a member (node, circuit index); equal circuits on equal initial
+        # the open payloads' circuits as (circuit, initial states, members,
+        # slices), a member (node, circuit index) and slices[m] the flat
+        # parameters of member m's circuit; equal circuits on equal initial
         # states share one sweep, as the branches of the built trees do
-        nodes = list(_preorder(tree.root))
+        self._nodes = list(_preorder(tree.root))
         groups: dict = {}
-        for i, _ in self._open:
-            payload = nodes[i].payload
+        for i, part in self._open:
+            payload = self._nodes[i].payload
             init = payload.initial_states()
+            at = part.start
             for j, circuit in enumerate(payload.circuits):
                 labels = slice(None) if payload.mode == SHARED_UNITARY else slice(j, j + 1)
                 key = (circuit, payload.initial_bits[labels])
-                groups.setdefault(key, (circuit, init[labels], []))[2].append((i, j))
+                group = groups.setdefault(key, (circuit, init[labels], [], []))
+                group[2].append((i, j))
+                group[3].append(slice(at, at + circuit.num_params))
+                at += circuit.num_params
         self._groups = list(groups.values())
         # the driver dispatches on attribute presence
         self.overlap_fd_matrix = self._overlap_fd_matrix
         self.energies_fd = self._energies_fd
 
-    @property
-    def num_params(self) -> int:
-        return self.tree.num_params
-
-    def _pass(self, tree: HybridTree, stacks=None) -> _Pass:
-        return _Pass(tree, tree, self.factors, words=self._words, stacks=stacks)
+    def _pass(self, params, delta) -> _Pass:
+        """The contraction pass at ``params``.  Every node with parameters
+        gets its row stack, so the tree's stored parameters are never read."""
+        stacks = self._stacks(params, delta)
+        return _Pass(self.tree, self.tree, self.factors, words=self._words, stacks=stacks)
 
     def energy(self, params) -> float:
-        tree = self.tree.with_params(params)
-        return self._pass(tree, stacks=self._stacks(tree, None)).term_sum().real
+        return self._pass(params, None).term_sum().real
 
     def overlap(self, pa, pb) -> complex:
         return tree_overlap(
@@ -426,17 +430,20 @@ class TreeProblem:
 
     # -- batched finite-difference stencil ----------------------------------
 
-    def _stacks(self, tree: HybridTree, delta) -> dict:
-        """The open nodes' row stacks, one sweep per circuit group: the
-        families alone when ``delta`` is None, else with perturbed rows."""
-        nodes = list(_preorder(tree.root))
+    def _stacks(self, params, delta) -> dict:
+        """The open nodes' row stacks at the flat ``params``, one sweep per
+        circuit group: the families alone when ``delta`` is None, else with
+        perturbed rows."""
+        params = np.asarray(params, dtype=float)
+        if params.shape != (self.num_params,):
+            raise ValueError(f"expected {self.num_params} parameters, got {params.size}")
         rows = {}  # (node, circuit index) -> that circuit's rows
-        for circuit, init, members in self._groups:
-            thetas = np.array([nodes[i].payload.params[j] for i, j in members])
+        for circuit, init, members, slices in self._groups:
+            thetas = np.array([params[s] for s in slices])
             rows.update(zip(members, _perturbed_stack(circuit, thetas, init, delta)))
         stacks = {}
         for i, _ in self._open:
-            payload = nodes[i].payload
+            payload = self._nodes[i].payload
             parts = [rows[i, j] for j in range(len(payload.circuits))]
             stacks[i] = _payload_stack(payload, parts)
         return stacks
@@ -445,8 +452,7 @@ class TreeProblem:
         """The contraction pass over every node's perturbed row stack."""
         key = (params.tobytes(), delta)
         if self._point is None or self._point[0] != key:
-            tree = self.tree.with_params(params)
-            self._point = (key, self._pass(tree, stacks=self._stacks(tree, delta)))
+            self._point = (key, self._pass(params, delta))
         return self._point[1]
 
     def _overlap_fd_matrix(self, params, delta):

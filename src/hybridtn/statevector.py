@@ -14,14 +14,14 @@ Conventions, fixed across the package:
 A circuit runs as its compiled :attr:`Circuit.program`: each maximal run
 of consecutive RZ and RZZ gates is one diagonal phase, each maximal run of
 consecutive RX, RY, H and X gates one Kronecker-product layer applied as
-one matrix product per piece of the register (its two halves, or pieces
-of at most four qubits past eight), and each CNOT a permutation.
+one matrix product per piece of the register (equal pieces of at most
+four qubits), and each CNOT a permutation.
 :func:`sweep_circuit` is the one runner of a program.  It takes the
 branches that share a circuit, each with its own parameters, and with a
 finite-difference ``delta`` also every single-slot perturbed state of
 each, in one pass; the variational engine's stencil uses that.
 :func:`apply_circuit_array` is its one-branch call, for any leading batch
-dimensions.
+dimensions.  A Pauli word is a flip of its X and Y qubits and a phase.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .pauli import PauliTerm, parity_signs
+from .pauli import PauliTerm, parity_signs, pauli_word_masks
 
 GATE_KINDS = frozenset({"RX", "RY", "RZ", "RZZ", "H", "X", "CNOT"})
 ROTATION_KINDS = frozenset({"RX", "RY", "RZ", "RZZ"})
@@ -47,7 +47,6 @@ _H_MAT = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
 _X_MAT = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y_MAT = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z_MAT = np.array([[1, 0], [0, -1]], dtype=complex)
-_SDG_MAT = np.array([[1, 0], [0, -1j]], dtype=complex)
 _I_MAT = np.eye(2, dtype=complex)
 PAULI_MATRICES = {"X": _X_MAT, "Y": _Y_MAT, "Z": _Z_MAT}
 # RX(theta) = cos(theta/2) I + sin(theta/2) (-iX), RY likewise with -iY
@@ -128,7 +127,8 @@ def init_basis_state(num_qubits: int, bits: str) -> StateVector:
 # array-level kernels (batched over any leading dimensions)
 
 def _apply_1q(amps: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
-    """``mat`` on qubit q as a two-slice update: out_i = m_i0 a_0 + m_i1 a_1.
+    """``mat`` on qubit q as a two-slice update: out_i = m_i0 a_0 + m_i1 a_1,
+    for the tree's word-batched blocks only.
 
     a_0 and a_1 are the halves of the (..., 2**(n-1-q), 2, 2**q) view.  A
     stack of matrices (..., 2, 2) broadcasts its leading axes against those
@@ -217,18 +217,16 @@ class LocalLayer(NamedTuple):
     Gates on different qubits commute, so the layer is the Kronecker
     product of one 2 x 2 factor per qubit: its qubit's gates multiplied in
     circuit order (the identity on a qubit without gates).  ``slots`` holds
-    the run's distinct parameter slots in order of first gate, ``runs`` the
-    (first, last) of each maximal range of consecutive slots among them,
-    ascending, and ``pieces`` the ranges of :func:`_layer_pieces` that hold
-    a gate.  The rest is compiled for :func:`_layer_factors`: the slot and
-    the generator -iX or -iY of each parameterised gate, in gate order; the
-    matrices of the other gates, then the identity; and ``stages``, where
-    stages[j, q] indexes qubit q's (j + 1)-th gate in those two lists
-    joined, or the identity once its gates run out.
+    the run's distinct parameter slots in order of first gate, and
+    ``pieces`` the ranges of :func:`_layer_pieces` that hold a gate.  The
+    rest is compiled for :func:`_layer_factors`: the slot and the generator
+    -iX or -iY of each parameterised gate, in gate order; the matrices of
+    the other gates, then the identity; and ``stages``, where stages[j, q]
+    indexes qubit q's (j + 1)-th gate in those two lists joined, or the
+    identity once its gates run out.
     """
 
     slots: tuple[int, ...]
-    runs: tuple[tuple[int, int], ...]
     pieces: tuple[tuple[int, int], ...]
     gate_slots: np.ndarray
     gens: np.ndarray
@@ -274,14 +272,8 @@ def _local_layer(ops: tuple[GateOp, ...], n: int) -> LocalLayer:
     stages = np.full((max(map(len, chains)), n), len(rotations) + len(fixed) - 1)
     for q, chain in enumerate(chains):
         stages[: len(chain), q] = chain
-    slots = tuple(dict.fromkeys(op.param for op in rotations))
-    runs = []  # slot s - its rank is constant along a range of consecutive slots
-    for _, run in itertools.groupby(enumerate(sorted(slots)), lambda js: js[1] - js[0]):
-        run = [slot for _, slot in run]
-        runs.append((run[0], run[-1]))
     return LocalLayer(
-        slots,
-        tuple(runs),
+        tuple(dict.fromkeys(op.param for op in rotations)),
         tuple((lo, hi) for lo, hi in _layer_pieces(n) if any(chains[lo:hi])),
         np.array([op.param for op in rotations], dtype=np.intp),
         np.array([_GENERATORS[op.kind] for op in rotations]).reshape(-1, 2, 2),
@@ -343,11 +335,12 @@ def sweep_circuit(circuit: Circuit, params, init: np.ndarray, delta=None) -> np.
 
 def _layer_factors(layer: LocalLayer, params: np.ndarray, delta) -> np.ndarray:
     """The layer's per-qubit factors, (g, variants, n, 2, 2): variant 0 at
-    each branch's ``params`` and, with ``delta``, variant 1 + k with the
-    k-th lowest of the layer's slots at angle + delta."""
+    each branch's ``params`` and, with ``delta``, variant 1 + k with slot
+    min(slots) + k at angle + delta, for every slot up to max(slots); a
+    slot in that range that the layer does not use gets the base factors."""
     theta = params[:, None, layer.gate_slots]  # (g, 1, rotations)
     if delta is not None and layer.slots:
-        variants = [-1, *sorted(layer.slots)]
+        variants = [-1, *range(min(layer.slots), max(layer.slots) + 1)]
         theta = theta + delta * np.equal.outer(variants, layer.gate_slots)
     half = theta[..., None, None] / 2.0
     p = len(layer.gate_slots)
@@ -363,9 +356,10 @@ def _layer_factors(layer: LocalLayer, params: np.ndarray, delta) -> np.ndarray:
 
 def _kron(facs: np.ndarray) -> np.ndarray:
     """kron(facs[..., -1, :, :], ..., facs[..., 0, :, :]): factor j acts on
-    bit j of the row and column index."""
-    out = facs[..., -1, :, :]
-    for j in range(facs.shape[-3] - 2, -1, -1):
+    bit j of the row and column index.  The fold starts from the (..., 1, 1)
+    identity, which is also the product of no factors."""
+    out = np.ones(facs.shape[:-3] + (1, 1), dtype=facs.dtype)
+    for j in range(facs.shape[-3] - 1, -1, -1):
         prod = out[..., :, None, :, None] * facs[..., j, None, :, None, :]
         out = prod.reshape(prod.shape[:-4] + (2 * out.shape[-1],) * 2)
     return out
@@ -382,28 +376,25 @@ _GEMM_COLUMNS = 128
 
 def _layer_pieces(n: int) -> list[tuple[int, int]]:
     """The qubit ranges [lo, hi) of a layer's Kronecker factors, lowest
-    first: the halves split at n // 2 up to 2 * _PIECE_QUBITS qubits, more
-    and narrower equal pieces past that."""
-    count = max(2, -(-n // _PIECE_QUBITS))
+    first: the fewest equal pieces of at most _PIECE_QUBITS qubits."""
+    count = -(-n // _PIECE_QUBITS)
     bounds = [j * n // count for j in range(count + 1)]
-    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    return list(zip(bounds, bounds[1:]))
 
 
 def _row_blocks(layer: LocalLayer, live: int, delta) -> list[tuple[slice, slice]]:
     """Rows 0 .. live as (rows, variants) slice pairs: the rows 1 + s of
-    each run of consecutive slots with their variants, in the order of
-    :func:`_layer_factors`, and the rows between with variant 0."""
-    if delta is None or not layer.runs:
+    the layer's slot range with their variants (:func:`_layer_factors`),
+    and the rows below and above it with variant 0."""
+    if delta is None or not layer.slots:
         return [(slice(0, live), slice(0, 1))]
-    blocks, row, variant = [], 0, 1
-    for first, last in layer.runs:
-        if row < 1 + first:
-            blocks.append((slice(row, 1 + first), slice(0, 1)))
-        count = last - first + 1
-        blocks.append((slice(1 + first, 2 + last), slice(variant, variant + count)))
-        row, variant = 2 + last, variant + count
-    if row < live:
-        blocks.append((slice(row, live), slice(0, 1)))
+    first, last = min(layer.slots), max(layer.slots)
+    blocks = [
+        (slice(0, 1 + first), slice(0, 1)),
+        (slice(1 + first, 2 + last), slice(1, 2 + last - first)),
+    ]
+    if 2 + last < live:
+        blocks.append((slice(2 + last, live), slice(0, 1)))
     return blocks
 
 
@@ -416,9 +407,9 @@ def _apply_layer(layer, src, dst, params, delta, n) -> bool:
     Each piece [lo, hi) that has a gate is one matmul per block of rows:
     seen as a (labels 2**(n-hi), 2**(hi-lo), 2**lo) array A per row, a row
     becomes K A, with K the piece's factor, or A K^T for the lowest piece.
-    A row's K is its variant's (:func:`_row_blocks`): a run of slot rows
-    takes the run's stack of variants, the other rows the branch's base,
-    broadcast, so no K is copied per row.
+    A row's K is its variant's (:func:`_row_blocks`): the rows of the
+    layer's slot range take its stack of variants, the other rows the
+    branch's base, broadcast, so no K is copied per row.
     """
     g, live = src.shape[:2]
     facs = _layer_factors(layer, params, delta)
@@ -459,10 +450,14 @@ def apply_circuit_array(amps: np.ndarray, circuit: Circuit, params) -> np.ndarra
 
 
 def apply_pauli_array(amps: np.ndarray, factors, n: int) -> np.ndarray:
-    """Apply a product of Pauli factors ((qubit, letter) pairs)."""
-    for qubit, letter in factors:
-        amps = _apply_1q(amps, PAULI_MATRICES[letter], qubit, n)
-    return amps
+    """Apply a product of Pauli factors ((qubit, letter) pairs) as a flip
+    and a phase: out[x] = (-i)**n_y (-1)**popcount(x & sign) amps[x ^ flip]
+    (:func:`~hybridtn.pauli.pauli_word_masks`)."""
+    flip, sign, n_y = pauli_word_masks(factors)
+    view = amps.reshape(amps.shape[:-1] + (2,) * n)
+    axes = [view.ndim - 1 - q for q in range(n) if flip >> q & 1]  # axis of qubit q
+    flipped = np.flip(view, axes).reshape(amps.shape)
+    return flipped * ((-1j) ** n_y * parity_signs(np.arange(2**n), sign))
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +493,10 @@ def sample_pauli_expectation(
 ) -> float:
     """Monte-Carlo estimate of :func:`pauli_expectation`.
 
-    The state is rotated into the eigenbasis of the Pauli string (H for X,
-    S-dagger then H for Y), each computational outcome contributes the
-    eigenvalue (-1)^(parity of the measured bits), and ``shots`` outcomes
-    are drawn from the exact distribution.  ``shots == 0`` returns the
-    exact expectation, bit-for-bit equal to the deterministic path.
+    Measuring the Pauli string gives +1 with probability p_even = (1 +
+    <P>)/2, so the ``shots`` outcomes are one binomial draw from the exact
+    expectation.  ``shots == 0`` returns the exact expectation, bit-for-bit
+    equal to the deterministic path.
     """
     if shots < 0:
         raise ValueError("shots must be non-negative")
@@ -510,18 +504,8 @@ def sample_pauli_expectation(
         return pauli_expectation(state, term)
     if not term.factors:
         return term.coefficient
-    amps = state.amps
-    n = state.num_qubits
-    for qubit, letter in term.factors:
-        if letter == "X":
-            amps = _apply_1q(amps, _H_MAT, qubit, n)
-        elif letter == "Y":
-            amps = _apply_1q(amps, _SDG_MAT, qubit, n)
-            amps = _apply_1q(amps, _H_MAT, qubit, n)
-    probs = np.abs(amps) ** 2
-    mask = sum(1 << qubit for qubit, _ in term.factors)
-    even = parity_signs(np.arange(2**n), mask) > 0
-    p_even = float(np.clip(probs[even].sum(), 0.0, 1.0))
+    exact = pauli_expectation(state, PauliTerm(1.0, term.factors))
+    p_even = float(np.clip((1.0 + exact) / 2.0, 0.0, 1.0))
     rng = np.random.default_rng(seed)
     hits = int(rng.binomial(shots, p_even))
     return term.coefficient * (2.0 * hits / shots - 1.0)

@@ -68,7 +68,7 @@ from .pauli import (
     parity_signs,
     pauli_word_masks,
 )
-from .statevector import Circuit, PAULI_MATRICES, _apply_1q
+from .statevector import Circuit, PAULI_MATRICES, _apply_1q, _kron
 from .tensors import (
     MpsTensor,
     QuantumTensor,
@@ -270,16 +270,9 @@ def _effective_rows(env: np.ndarray, ops: dict, bra: np.ndarray, ket: np.ndarray
     """
     (count, l), (rows, _, dim) = env.shape[:2], ket.shape
     n = dim.bit_length() - 1
-
-    def kron(qubits):  # most significant qubit first
-        acc = np.ones((count, 1, 1), dtype=complex)
-        for q in qubits:
-            d = 2 * acc.shape[1]
-            acc = np.einsum("wab,wcd->wacbd", acc, ops[q]).reshape(count, d, d)
-        return acc
-
     half = n // 2
-    hi, lo = kron(range(n - 1, half - 1, -1)), kron(range(half - 1, -1, -1))
+    facs = np.stack([ops[q] for q in range(n)], axis=1)  # (words, n, 2, 2)
+    hi, lo = _kron(facs[:, half:]), _kron(facs[:, :half])
     d_hi, d_lo = 2 ** (n - half), 2**half
     kets = ket.reshape(rows, l * dim)
     bras = bra.conj().reshape(rows, l, d_hi, d_lo)

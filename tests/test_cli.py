@@ -297,7 +297,12 @@ def test_run_exits_4_with_the_reason_when_the_gradient_turns_nan(
 @pytest.mark.parametrize(
     "overrides, code, message",
     [
-        ({"lambda": 1e308, "ite": {}}, EXIT_NO_CONVERGENCE, "non-finite parameters"),
+        # conv_tol above the model's rounding, eps * sum |c_t|, lets the run start
+        (
+            {"lambda": 1e308, "ite": {"conv_tol": 1e300}},
+            EXIT_NO_CONVERGENCE,
+            "non-finite parameters",
+        ),
         ({"ite": {"dtau0": 1e308}}, EXIT_NO_CONVERGENCE, "non-finite parameters"),
         ({"ite": {"init_scale": 1e308}}, EXIT_CONFIG, "init_scale"),
     ],
@@ -340,6 +345,39 @@ def test_models_past_the_floats_are_config_errors(tmp_path, capsys, verb):
         if path.is_file():
             text = path.read_text()
             assert "NaN" not in text and "Infinity" not in text, path
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_models_that_round_past_conv_tol_are_config_errors(tmp_path, capsys, verb):
+    # at lambda 1e307 every energy rounds by eps * sum |c_t| ~ 9e290, so ten
+    # flat energies would read as convergence far from the ground state
+    data = minimal_config(d_U=1, d_V=1, **{"lambda": 1e307})
+    config_path = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(config_path), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "8.66e+290" in err and "ite.conv_tol 1e-08" in err
+    assert "raise ite.conv_tol or lower lambda" in err
+    assert not out.exists()
+    # exact has no flow to fool
+    assert main(["exact", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
+    # a large but resolvable model still runs
+    data["lambda"] = 1e3
+    config_path = write_config(tmp_path, data)
+    assert main([verb, "--config", str(config_path), "--out", str(tmp_path / "ok")]) == EXIT_OK
+
+
+def test_sweep_names_each_point_that_did_not_converge(tmp_path, capsys):
+    data = minimal_config(**{"lambda": [0.5, 1.0], "ite": {"reg": 1e-2, "max_iters": 1}})
+    config_path = write_config(tmp_path, data)
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(config_path), "--out", str(out)])
+    assert code == EXIT_NO_CONVERGENCE
+    points = json.loads((out / "sweep.json").read_text())["points"]
+    assert [p["converged"] for p in points] == [False, False]
+    err = capsys.readouterr().err
+    assert "one or more sweep points did not converge" in err
+    assert "  point 0: max_iters" in err and "  point 1: max_iters" in err
 
 
 def test_run_skips_oracle_beyond_its_limit(tmp_path):

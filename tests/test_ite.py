@@ -605,9 +605,14 @@ def test_fast_stencil_overlaps_match_pointwise_tree_overlaps():
 
 
 def test_fast_stencil_energies_match_pointwise_tree_energies():
-    h = crossing_hamiltonian()
-    for kind in TREE_KINDS:
-        tree = _stencil_tree(kind)
+    cases = [(_stencil_tree(kind), crossing_hamiltonian()) for kind in TREE_KINDS]
+    # a one-qubit root (k = 1): its effective operator has an empty low half
+    one = random_qq_tree(np.random.default_rng(77), 1, 2, 1, 1)
+    cases.append((one, build_1d_cluster(2, 1, lam=0.8, seed=16)[0]))
+    # an MPS node below the root, whose quantum leaf's environment is the
+    # MPS node's hole
+    cases.append(_mps_middle_tree(np.random.default_rng(78)))
+    for tree, h in cases:
         problem = TreeProblem(tree, h)
         params = tree.flat_params()
         delta = 1e-3
@@ -621,6 +626,30 @@ def test_fast_stencil_energies_match_pointwise_tree_energies():
             assert evec[i] == pytest.approx(
                 tree_energy(tree.with_params(bumped), h), abs=1e-10
             )
+
+
+def _mps_middle_tree(rng, n: int = 2):
+    """Quantum root over an MPS node and a quantum leaf, and a Hamiltonian.
+
+    The MPS node has its upward leg at site 0, a quantum leaf at site 1 and
+    one physical site, so the tree covers 1 + 2 n qubits.
+    """
+
+    def leaf():
+        circuit = random_circuit(rng, n, 2)[0]
+        params = rng.uniform(-np.pi, np.pi, circuit.num_params)
+        return TreeNode(QuantumTensor.shared(circuit, ("0" * n, "1" * n), params))
+
+    mid = TreeNode(random_mps(3, chi=2, seed=79), (ChildLink(1, leaf()),))
+    root_circuit = random_circuit(rng, 2, 2)[0]
+    params = rng.uniform(-np.pi, np.pi, root_circuit.num_params)
+    root = TreeNode(
+        QuantumTensor.shared(root_circuit, ("00",), params),
+        (ChildLink(0, mid), ChildLink(1, leaf())),
+    )
+    tree = HybridTree(root, _layout_for_sizes((1, n, n)))
+    h, _ = build_1d_cluster(1 + 2 * n, 1, lam=0.8, seed=17)
+    return tree, h
 
 
 def _three_layer_tree(

@@ -28,6 +28,7 @@ from hybridtn.statevector import (
     pauli_expectation,
     sample_pauli_expectation,
     sweep_circuit,
+    _row_blocks,
 )
 from hybridtn.verify import random_circuit
 
@@ -145,10 +146,10 @@ def test_circuit_matches_accumulated_matrix():
 
 
 def test_local_layers_match_per_row_circuits_and_dense_gates():
-    # one layer of single-qubit gates per register size: at n = 1 it is one
-    # piece and odd n splits unequally; slot 0 drives an RY on every qubit,
-    # so on both halves, and qubit 0 chains H, a fixed-angle RY and slot 1's
-    # RX, which do not commute
+    # one layer of single-qubit gates per register size: up to n = 4 it is
+    # one piece, and n = 5 splits unequally into two; slot 0 drives an RY on
+    # every qubit, so on every piece, and qubit 0 chains H, a fixed-angle RY
+    # and slot 1's RX, which do not commute
     rng = np.random.default_rng(9)
     delta = 1e-3
     for n in range(1, 6):
@@ -191,9 +192,11 @@ def apply_gates_one_by_one(amps: np.ndarray, circuit: Circuit, params) -> np.nda
 def test_wide_registers_split_layers_into_narrow_pieces():
     # past 8 qubits a layer is three or more Kronecker factors of at most 4
     # qubits; at n = 12 the lowest piece's GEMM rows and the highest
-    # piece's columns come in chunks.  The layer's slots 4, 1 and 2 leave
-    # rows of slots 0, 3 and 5 (used by the RZ gates after it) between
-    # their row ranges, which must take the base factors
+    # piece's columns come in chunks.  The layer's slots 4, 1 and 2 span
+    # the row range of slots 1 to 4, so slot 3's row (used by an RZ gate
+    # after it) takes its variant of base factors; slot 0's row lies below
+    # the range, and slot 5's row joins the sweep only after the layer, so
+    # the block above the range is empty and skipped
     rng = np.random.default_rng(11)
     delta = 1e-3
     for n, pieces in ((9, ((0, 3), (3, 6), (6, 9))), (12, ((0, 4), (4, 8), (8, 12)))):
@@ -203,7 +206,11 @@ def test_wide_registers_split_layers_into_narrow_pieces():
         ops += [GateOp("RZ", (q,), param=slot) for q, slot in ((0, 0), (5, 3), (n - 1, 5))]
         circuit = Circuit(n, tuple(ops), 6)
         layer = circuit.program[0]
-        assert layer.slots == (4, 1, 2) and layer.runs == ((1, 2), (4, 4))
+        assert layer.slots == (4, 1, 2)
+        assert _row_blocks(layer, 6, delta) == [
+            (slice(0, 2), slice(0, 1)),
+            (slice(2, 6), slice(1, 5)),
+        ]
         assert layer.pieces == pieces
         params = rng.uniform(-np.pi, np.pi, (2, 6))
         init = np.stack([random_state(rng, n) for _ in range(2)])
@@ -330,7 +337,7 @@ def test_ansatz_program_alternates_layers_and_diagonal_runs():
     program = build_hardware_efficient_ansatz(8, 4).program
     assert [type(step) for step in program] == [LocalLayer, DiagonalRun] * 4
     assert program[0].slots == tuple(range(16))  # the RY layer, then RX
-    assert program[0].pieces == ((0, 4), (4, 8))  # the halves below and from n // 2
+    assert program[0].pieces == ((0, 4), (4, 8))  # two equal pieces of 4 qubits
 
 
 def test_ansatz_identity_at_zero():
