@@ -75,10 +75,12 @@ def _compiled(h: Hamiltonian) -> tuple[tuple[object, tuple[int, ...]], ...]:
 
     A term c * W contributes phase ``c * (-i)**n_y * (-1)**popcount(x & s)``
     at output index x, read from amplitude ``x ^ m``, with (m, s, n_y) from
-    :func:`~hybridtn.pauli.pauli_word_masks`.  Terms sharing a mask sum
-    their phases; the phase stays a scalar when no term of the group has a
-    Z or Y factor and is complex only when one has a Y factor.  Axis
-    ``n - 1 - q`` of the ``(2,) * n`` amplitude view holds qubit q.
+    :func:`~hybridtn.pauli.pauli_word_masks`; an even ``n_y`` gives the
+    real sign ``(-1)**(n_y // 2)``.  Terms sharing a mask sum their phases;
+    the phase stays a scalar when no term of the group has a Z or Y factor
+    and is complex only when some term of the group has an odd number of
+    Y factors, so H is a real matrix exactly when no phase is complex.
+    Axis ``n - 1 - q`` of the ``(2,) * n`` amplitude view holds qubit q.
     """
     compiled = vars(h).get("_oracle_operator")
     if compiled is not None:
@@ -88,7 +90,8 @@ def _compiled(h: Hamiltonian) -> tuple[tuple[object, tuple[int, ...]], ...]:
     groups: dict[int, list[tuple[complex, int]]] = {}
     for term in h.terms:  # canonical order fixes the summation order
         flip, sign, n_y = pauli_word_masks(term.factors)
-        coeff = term.coefficient * (-1j) ** n_y if n_y else term.coefficient
+        # (-i)**n_y, kept real for even n_y
+        coeff = term.coefficient * (-1) ** (n_y // 2) * (-1j if n_y % 2 else 1)
         groups.setdefault(flip, []).append((coeff, sign))
     compiled = []
     for flip, parts in sorted(groups.items()):
@@ -103,26 +106,53 @@ def _compiled(h: Hamiltonian) -> tuple[tuple[object, tuple[int, ...]], ...]:
 
 
 def apply_hamiltonian(amps: np.ndarray, h: Hamiltonian) -> np.ndarray:
-    """Matrix-free H @ amps: one phase times one flipped view per flip mask."""
+    """Matrix-free H @ amps: one phase times one flipped view per flip mask.
+
+    The output takes the dtype of ``amps`` and the phases together: real
+    for a real H and real amplitudes, complex otherwise.
+    """
     psi = np.asarray(amps).reshape((2,) * h.num_qubits)
-    out = np.zeros(psi.shape, dtype=complex)
-    for phase, axes in _compiled(h):
+    compiled = _compiled(h)
+    out = np.zeros(psi.shape, np.result_type(psi, *(phase for phase, _ in compiled)))
+    for phase, axes in compiled:
         out += phase * np.flip(psi, axes)
     return out.reshape(-1)
 
 
+def _lowest_ritz(alphas: list, betas: list) -> tuple[float, np.ndarray]:
+    """Lowest eigenvalue of the Lanczos tridiagonal and its eigenvector."""
+    tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+    evals, evecs = np.linalg.eigh(tri)
+    return float(evals[0]), evecs[:, 0]
+
+
 def _lanczos_ground(h: Hamiltonian, seed: int) -> tuple[float, np.ndarray]:
-    """Lanczos with full reorthogonalization and explicit restarts."""
+    """Lanczos with full reorthogonalization and explicit restarts.
+
+    A real H (no complex compiled phase) runs in real arithmetic: the start
+    vector is the real part of the seeded complex draw, and the Krylov
+    basis is float64.  Every 10 steps the tridiagonal is diagonalized, and
+    the cycle ends early once the lowest Ritz value has settled (moved by
+    at most ``1e-12 * sum |c_t|`` since the last check) and its residual
+    estimate ``||w|| * |s_last|`` is at most ``1e-10 * sum |c_t|``.  A
+    cycle's Ritz pair is returned once its value has settled and its
+    explicit residual ``||Hx - theta x||`` is at most ``1e-10 * sum |c_t|``.
+    ``sum |c_t| >= ||H||``, so scaling H changes none of the steps taken.
+    """
     n = h.num_qubits
     dim = 2**n
-    # b is zero relative to sum |c_t| >= ||H||; "<=" stops H = 0 at b = 0
-    invariant = 64 * np.finfo(float).eps * sum(abs(t.coefficient) for t in h.terms)
+    norm_bound = sum(abs(t.coefficient) for t in h.terms)
+    # b is zero relative to the bound; "<=" stops H = 0 at b = 0
+    invariant = 64 * np.finfo(float).eps * norm_bound
+    settle, tol = 1e-12 * norm_bound, 1e-10 * norm_bound
     rng = np.random.default_rng(seed)
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    v = rng.normal(size=dim)
+    if any(np.iscomplexobj(phase) for phase, _ in _compiled(h)):
+        v = v + 1j * rng.normal(size=dim)
     v /= np.linalg.norm(v)
     krylov = min(dim, 80)
-    basis = np.empty((krylov, dim), dtype=complex)
-    previous = None
+    basis = np.empty((krylov, dim), dtype=v.dtype)
+    previous = np.inf  # the lowest Ritz value at the last check
     for _ in range(60):  # restart cycles
         basis[0] = v
         alphas, betas = [], []
@@ -143,15 +173,19 @@ def _lanczos_ground(h: Hamiltonian, seed: int) -> tuple[float, np.ndarray]:
             a = float(np.real(np.vdot(basis[j], w)))
             alphas.append(a)
             w = w - a * basis[j] - b * basis[j - 1]
-        tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-        evals, evecs = np.linalg.eigh(tri)
-        ritz = float(evals[0])
-        ground = evecs[:, 0] @ basis[: len(alphas)]
+            if len(alphas) % 10 == 0:
+                ritz, s = _lowest_ritz(alphas, betas)
+                settled, previous = abs(ritz - previous) <= settle, ritz
+                if settled and np.linalg.norm(w) * abs(s[-1]) <= tol:
+                    break
+        if len(alphas) % 10:  # the cycle ended between checks
+            ritz, s = _lowest_ritz(alphas, betas)
+            settled, previous = abs(ritz - previous) <= settle, ritz
+        ground = s @ basis[: len(alphas)]
         ground /= np.linalg.norm(ground)
         residual = np.linalg.norm(apply_hamiltonian(ground, h) - ritz * ground)
-        if previous is not None and abs(ritz - previous) < 1e-10 and residual < 1e-8:
+        if settled and residual <= tol:
             return ritz, ground
-        previous = ritz
         v = ground
     raise OracleLimitError("Lanczos failed to converge within the restart budget")
 
@@ -160,7 +194,8 @@ def exact_ground_energy(h: Hamiltonian) -> tuple[float, StateVector]:
     """Ground energy and state: dense eigh up to 8 qubits, Lanczos to 20.
 
     Above ``DENSE_LIMIT`` no matrix is built: Lanczos runs on the
-    matrix-free :func:`apply_hamiltonian`.
+    matrix-free :func:`apply_hamiltonian`, in real arithmetic when H is a
+    real matrix.  The returned state is complex either way.
     """
     n = h.num_qubits
     if n <= DENSE_LIMIT:
@@ -168,7 +203,7 @@ def exact_ground_energy(h: Hamiltonian) -> tuple[float, StateVector]:
         return float(evals[0]), StateVector(n, evecs[:, 0].copy())
     if n <= ITERATIVE_LIMIT:
         energy, vec = _lanczos_ground(h, seed=7)
-        return energy, StateVector(n, vec)
+        return energy, StateVector(n, vec.astype(complex, copy=False))
     raise OracleLimitError(
         f"{n} qubits exceeds the {ITERATIVE_LIMIT}-qubit oracle limit"
     )

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,78 @@ def test_lanczos_stop_rule_scales_with_the_operator(monkeypatch):
         energy, count = results[scale]
         assert count <= base_calls + 10
         assert energy / scale == pytest.approx(base_energy, rel=1e-10)
+
+
+def test_paired_y_factors_compile_to_real_phases():
+    yy = Hamiltonian(2, (PauliTerm(1.0, ((0, "Y"), (1, "Y"))),))
+    ((phase, _),) = oracles._compiled(yy)
+    assert not np.iscomplexobj(phase)
+    amps = np.arange(4.0)
+    assert apply_hamiltonian(amps, yy).dtype == np.float64
+    assert apply_hamiltonian(amps + 0j, yy).dtype == np.complex128
+    want = hamiltonian_matrix(yy) @ amps
+    np.testing.assert_allclose(apply_hamiltonian(amps, yy), want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "extra, real",
+    [
+        ([], True),
+        ([{0: "Y", 4: "Y"}, {2: "Y", 3: "X", 8: "Y"}], True),
+        ([{1: "Y", 5: "X"}, {2: "Y", 6: "Y", 7: "Y"}], False),
+    ],
+    ids=["xz", "paired_y", "odd_y"],
+)
+def test_real_and_complex_lanczos_routes_match_the_dense_reference(extra, real):
+    web, _ = build_2d_web(3, 3, lam=1.0, seed=5)  # 9 qubits: X, Z and ZZ terms
+    terms = tuple(PauliTerm.make(0.3, word) for word in extra)
+    h = Hamiltonian(web.num_qubits, web.terms + terms)
+    want = np.linalg.eigh(hamiltonian_matrix(h))[0][0]
+    e0, vec = _lanczos_ground(h, seed=7)
+    assert e0 == pytest.approx(want, abs=1e-9)
+    assert np.linalg.norm(apply_hamiltonian(vec, h) - e0 * vec) < 1e-8
+    assert (np.linalg.norm(np.imag(vec)) == 0) == real  # pins the route
+
+
+def test_real_lanczos_basis_halves_the_oracle_memory():
+    h, _ = build_1d_cluster(7, 2, lam=1.0, seed=8)  # 14 qubits
+    complex_basis = 80 * 2**h.num_qubits * 16  # 20 MiB
+    tracemalloc.start()
+    try:
+        _, state = exact_ground_energy(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < complex_basis
+    assert state.amps.dtype == np.complex128
+
+
+def test_lanczos_cycle_does_not_stop_on_a_plateau(monkeypatch):
+    """A settled Ritz value alone does not end a cycle; its residual must too.
+
+    On the 16-qubit seed-7 chain the Ritz value stalls near -15.644543 for
+    steps 50-60 before it falls to -15.644571.  Ending the cycle there
+    restarts from too small a space, and Lanczos never converges.
+    """
+    h, _ = build_1d_cluster(8, 2, lam=0.0, seed=7)  # 16 qubits, two equal blocks
+    block, _ = build_1d_cluster(8, 1, lam=0.0, seed=7)
+    block_energy, _ = exact_ground_energy(block)
+    e0, _ = exact_ground_energy(h)
+    assert e0 == pytest.approx(2 * block_energy, abs=1e-9)
+
+    calls = []
+
+    def counted(amps, ham):
+        calls.append(1)
+        return apply_hamiltonian(amps, ham)
+
+    monkeypatch.setattr(oracles, "apply_hamiltonian", counted)
+    for n, seed, most in ((8, 7, 170), (7, 8, 161)):  # 162 is two full cycles
+        chain, _ = build_1d_cluster(n, 2, lam=1.0, seed=seed)
+        calls.clear()
+        energy, vec = _lanczos_ground(chain, seed=7)
+        assert len(calls) <= most
+        assert np.linalg.norm(apply_hamiltonian(vec, chain) - energy * vec) < 1e-8
 
 
 def test_lanczos_route_reproduces_decoupled_web_blocks(monkeypatch):
