@@ -31,6 +31,9 @@ from .tensors import MpsTensor, QuantumTensor
 DENSE_LIMIT = 8  # above it Lanczos beats a full eigh of the dense matrix
 DENSE_MATRIX_BYTES = 2**24  # hamiltonian_matrix's 4**n * 16 bytes: 10 qubits
 ITERATIVE_LIMIT = 20
+LANCZOS_BASIS = 24  # Krylov vectors the Lanczos oracle holds
+LANCZOS_KEPT = 8  # Ritz vectors a thick restart keeps
+_LANCZOS_STEPS = 4800  # the budget: 300 thick restarts of 16 steps
 TREE_STATE_LIMIT = 16
 
 _ID = np.eye(2, dtype=complex)
@@ -119,25 +122,26 @@ def apply_hamiltonian(amps: np.ndarray, h: Hamiltonian) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _lowest_ritz(alphas: list, betas: list) -> tuple[float, np.ndarray]:
-    """Lowest eigenvalue of the Lanczos tridiagonal and its eigenvector."""
-    tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-    evals, evecs = np.linalg.eigh(tri)
-    return float(evals[0]), evecs[:, 0]
-
-
 def _lanczos_ground(h: Hamiltonian, seed: int) -> tuple[float, np.ndarray]:
-    """Lanczos with full reorthogonalization and explicit restarts.
+    """Thick-restart Lanczos with full reorthogonalization.
 
     A real H (no complex compiled phase) runs in real arithmetic: the start
     vector is the real part of the seeded complex draw, and the Krylov
-    basis is float64.  Every 10 steps the tridiagonal is diagonalized, and
-    the cycle ends early once the lowest Ritz value has settled (moved by
-    at most ``1e-12 * sum |c_t|`` since the last check) and its residual
-    estimate ``||w|| * |s_last|`` is at most ``1e-10 * sum |c_t|``.  A
-    cycle's Ritz pair is returned once its value has settled and its
-    explicit residual ``||Hx - theta x||`` is at most ``1e-10 * sum |c_t|``.
-    ``sum |c_t| >= ||H||``, so scaling H changes none of the steps taken.
+    basis is float64.  The basis holds ``LANCZOS_BASIS`` vectors, and
+    ``t`` holds H projected on it, column j filled from the two
+    Gram-Schmidt passes that orthogonalize ``H basis[j]``.  When the basis
+    is full, a thick restart (Wu & Simon, SIAM J. Matrix Anal. Appl. 22,
+    602 (2000)) keeps its ``LANCZOS_KEPT`` lowest Ritz vectors, with ``t``
+    their diagonal of Ritz values, and continues from the normalized
+    residual; the next columns of ``t`` fill its arrowhead.
+
+    ``t`` is diagonalized 10 steps after the last check and whenever the
+    basis is full.  The lowest Ritz pair is returned once its value has
+    settled (moved by at most ``1e-12 * sum |c_t|`` since the last check),
+    its residual estimate ``||w|| * |s_last|`` is at most
+    ``1e-10 * sum |c_t|``, and its explicit residual ``||Hx - theta x||``
+    is too.  ``sum |c_t| >= ||H||``, so scaling H changes none of the
+    steps taken.
     """
     n = h.num_qubits
     dim = 2**n
@@ -147,55 +151,59 @@ def _lanczos_ground(h: Hamiltonian, seed: int) -> tuple[float, np.ndarray]:
     settle, tol = 1e-12 * norm_bound, 1e-10 * norm_bound
     rng = np.random.default_rng(seed)
     v = rng.normal(size=dim)
-    if any(np.iscomplexobj(phase) for phase, _ in _compiled(h)):
+    real = not any(np.iscomplexobj(phase) for phase, _ in _compiled(h))
+    if not real:
         v = v + 1j * rng.normal(size=dim)
-    v /= np.linalg.norm(v)
-    krylov = min(dim, 80)
-    basis = np.empty((krylov, dim), dtype=v.dtype)
+    size = min(dim, LANCZOS_BASIS)
+    basis = np.empty((size, dim), dtype=v.dtype)
+    basis[0] = v / np.linalg.norm(v)
+    t = np.empty((size, size), dtype=v.dtype)
     previous = np.inf  # the lowest Ritz value at the last check
-    for _ in range(60):  # restart cycles
-        basis[0] = v
-        alphas, betas = [], []
-        w = apply_hamiltonian(v, h)
-        a = float(np.real(np.vdot(v, w)))
-        alphas.append(a)
-        w = w - a * v
-        for j in range(1, krylov):
-            done = basis[:j]
-            for _ in range(2):  # full reorthogonalization, twice, without conj copies
-                w -= done.T @ np.conj(done @ np.conj(w))
-            b = float(np.linalg.norm(w))
-            if b <= invariant:
-                break
-            basis[j] = w / b
-            betas.append(b)
-            w = apply_hamiltonian(basis[j], h)
-            a = float(np.real(np.vdot(basis[j], w)))
-            alphas.append(a)
-            w = w - a * basis[j] - b * basis[j - 1]
-            if len(alphas) % 10 == 0:
-                ritz, s = _lowest_ritz(alphas, betas)
-                settled, previous = abs(ritz - previous) <= settle, ritz
-                if settled and np.linalg.norm(w) * abs(s[-1]) <= tol:
-                    break
-        if len(alphas) % 10:  # the cycle ended between checks
-            ritz, s = _lowest_ritz(alphas, betas)
+    j = unchecked = 0  # j: the vectors in the basis
+    for _ in range(_LANCZOS_STEPS):
+        w = apply_hamiltonian(basis[j], h)
+        done = basis[: j + 1]
+        coeffs = 0
+        for _ in range(2):  # full reorthogonalization, twice
+            # the complex route avoids a conj copy of the basis
+            c = done @ w if real else np.conj(done @ np.conj(w))
+            w -= done.T @ c
+            coeffs = coeffs + c
+        t[: j + 1, j] = coeffs
+        t[j, : j + 1] = np.conj(coeffs)
+        b = float(np.linalg.norm(w))
+        j += 1
+        unchecked += 1
+        if unchecked == 10 or j == size or b <= invariant:
+            unchecked = 0
+            ritz_values, s = np.linalg.eigh(t[:j, :j])
+            ritz = float(ritz_values[0])
             settled, previous = abs(ritz - previous) <= settle, ritz
-        ground = s @ basis[: len(alphas)]
-        ground /= np.linalg.norm(ground)
-        residual = np.linalg.norm(apply_hamiltonian(ground, h) - ritz * ground)
-        if settled and residual <= tol:
-            return ritz, ground
-        v = ground
+            if b <= invariant or settled and b * abs(s[-1, 0]) <= tol:
+                ground = s[:, 0] @ basis[:j]
+                ground /= np.linalg.norm(ground)
+                residual = np.linalg.norm(apply_hamiltonian(ground, h) - ritz * ground)
+                if residual <= tol:
+                    return ritz, ground
+            if b <= invariant:  # no new direction: start again from the Ritz vector
+                basis[0], j = ground, 0
+                continue
+            if j == size:  # thick restart
+                basis[:LANCZOS_KEPT] = s[:, :LANCZOS_KEPT].T @ basis
+                t[:LANCZOS_KEPT, :LANCZOS_KEPT] = np.diag(ritz_values[:LANCZOS_KEPT])
+                j = LANCZOS_KEPT
+        basis[j] = w / b
     raise OracleLimitError("Lanczos failed to converge within the restart budget")
 
 
 def exact_ground_energy(h: Hamiltonian) -> tuple[float, StateVector]:
     """Ground energy and state: dense eigh up to 8 qubits, Lanczos to 20.
 
-    Above ``DENSE_LIMIT`` no matrix is built: Lanczos runs on the
-    matrix-free :func:`apply_hamiltonian`, in real arithmetic when H is a
-    real matrix.  The returned state is complex either way.
+    Above ``DENSE_LIMIT`` no matrix is built: thick-restart Lanczos runs on
+    the matrix-free :func:`apply_hamiltonian`, in real arithmetic when H is
+    a real matrix.  Its working set is bounded by the basis: about
+    ``LANCZOS_BASIS + LANCZOS_KEPT + 4`` vectors of 2**n amplitudes.  The
+    returned state is complex either way.
     """
     n = h.num_qubits
     if n <= DENSE_LIMIT:

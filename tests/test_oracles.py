@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hybridtn import oracles
+from hybridtn.cli import RUN_BYTES_LIMIT
 from hybridtn.oracles import (
     DenseTreeSpec,
     OracleLimitError,
@@ -257,6 +258,64 @@ def test_lanczos_cycle_does_not_stop_on_a_plateau(monkeypatch):
         energy, vec = _lanczos_ground(chain, seed=7)
         assert len(calls) <= most
         assert np.linalg.norm(apply_hamiltonian(vec, chain) - energy * vec) < 1e-8
+
+
+def _with_terms(h: Hamiltonian, words) -> Hamiltonian:
+    extra = tuple(PauliTerm.make(0.3, word) for word in words)
+    return Hamiltonian(h.num_qubits, h.terms + extra)
+
+
+def _count_matvecs(monkeypatch) -> list:
+    calls = []
+
+    def counted(amps, ham):
+        calls.append(1)
+        return apply_hamiltonian(amps, ham)
+
+    monkeypatch.setattr(oracles, "apply_hamiltonian", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "words, itemsize",
+    [((), 8), (({1: "Y", 5: "X"}, {2: "Y", 9: "Y", 12: "Y"}), 16)],
+    ids=["real", "odd_y"],
+)
+def test_oracle_working_set_is_bounded_by_the_thick_restart_basis(words, itemsize):
+    h = _with_terms(build_1d_cluster(7, 2, lam=1.0, seed=8)[0], words)  # 14 qubits
+    tracemalloc.start()
+    try:
+        exact_ground_energy(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**h.num_qubits * itemsize  # 6 MiB real, 12 MiB complex
+
+
+def test_thick_restarts_stay_exact_on_the_complex_route(monkeypatch):
+    web, _ = build_2d_web(5, 2, lam=1.0, seed=5)  # 10 qubits
+    h = _with_terms(web, [{1: "Y", 5: "X"}, {2: "Y", 6: "Y", 7: "Y"}])
+    want = np.linalg.eigh(hamiltonian_matrix(h))[0][0]
+    calls = _count_matvecs(monkeypatch)
+    e0, vec = _lanczos_ground(h, seed=7)
+    assert len(calls) > oracles.LANCZOS_BASIS  # at least one thick restart ran
+    assert np.iscomplexobj(vec)
+    assert e0 == pytest.approx(want, abs=1e-9)
+    assert np.linalg.norm(apply_hamiltonian(vec, h) - e0 * vec) < 1e-8
+
+
+def test_thick_restart_saves_matvecs_on_the_16_qubit_chain(monkeypatch):
+    chain, _ = build_1d_cluster(8, 2, lam=1.0, seed=7)
+    calls = _count_matvecs(monkeypatch)
+    energy, vec = _lanczos_ground(chain, seed=7)
+    assert len(calls) <= 130  # 115 measured; 162 with 80-vector explicit restarts
+    assert np.linalg.norm(apply_hamiltonian(vec, chain) - energy * vec) < 1e-8
+
+
+def test_oracle_basis_fits_the_run_budget():
+    """A 20-qubit complex oracle: basis, restart product, w, ground, matvec."""
+    vectors = oracles.LANCZOS_BASIS + oracles.LANCZOS_KEPT + 4
+    assert vectors * 2**oracles.ITERATIVE_LIMIT * 16 < RUN_BYTES_LIMIT
 
 
 def test_lanczos_route_reproduces_decoupled_web_blocks(monkeypatch):
