@@ -1,12 +1,15 @@
 """Brute-force reference implementations used to check the main paths.
 
-Everything here trades efficiency for literalness: the ground-state
-oracle diagonalizes Hamiltonians of up to ``DENSE_LIMIT`` qubits as dense
-matrices built via Kronecker products (the dense reference itself goes up
-to ``DENSE_MATRIX_BYTES``), larger ones act through a matrix-free
-operator built from the Pauli bit arithmetic alone, tree states are built
-by explicit summation over classical labels, and the pair-contraction
-rules are transcribed as einsum formulas.  The structured evaluators elsewhere in the package are
+Everything here trades efficiency for literalness.  The ground-state
+oracle works from the Pauli bit arithmetic alone: each term is compiled
+to a bit flip and a phase, and Hamiltonians of up to ``DENSE_LIMIT``
+qubits are diagonalized as the dense matrix written from those flips and
+phases, larger ones through the matrix-free operator they define.
+:func:`hamiltonian_matrix` is the literal reference, one Kronecker product
+per term (up to ``DENSE_MATRIX_BYTES``), and the tests check the oracle
+against it.  Tree states are built by explicit summation over classical
+labels, and the pair-contraction rules are transcribed as einsum
+formulas.  The structured evaluators elsewhere in the package are
 validated against these, so this module must not reuse their contraction
 logic.
 
@@ -28,7 +31,9 @@ from .pauli import Hamiltonian, PauliTerm, parity_signs, pauli_word_masks
 from .statevector import StateVector
 from .tensors import MpsTensor, QuantumTensor
 
-DENSE_LIMIT = 8  # above it Lanczos beats a full eigh of the dense matrix
+# the crossover: an eigh of the compiled dense matrix against Lanczos took
+# 6.6-6.9 against 6.5-6.7 ms at 8 qubits, 0.35-0.60 against 2.2-2.4 ms at 6
+DENSE_LIMIT = 8
 DENSE_MATRIX_BYTES = 2**24  # hamiltonian_matrix's 4**n * 16 bytes: 10 qubits
 ITERATIVE_LIMIT = 20
 LANCZOS_BASIS = 24  # Krylov vectors the Lanczos oracle holds
@@ -196,19 +201,39 @@ def _lanczos_ground(h: Hamiltonian, seed: int) -> tuple[float, np.ndarray]:
     raise OracleLimitError("Lanczos failed to converge within the restart budget")
 
 
+def _dense_matrix(h: Hamiltonian) -> np.ndarray:
+    """H written from its compiled groups: ``H[x, x ^ m] = phase[x]``.
+
+    Distinct groups have distinct flip masks m, so no entry is written
+    twice.  The matrix is float64 when no phase is complex.
+    """
+    n = h.num_qubits
+    compiled = _compiled(h)
+    rows = np.arange(2**n)
+    out = np.zeros((2**n, 2**n), np.result_type(float, *(p for p, _ in compiled)))
+    for phase, axes in compiled:
+        flip = sum(1 << (n - 1 - axis) for axis in axes)
+        out[rows, rows ^ flip] = np.reshape(phase, -1)
+    return out
+
+
 def exact_ground_energy(h: Hamiltonian) -> tuple[float, StateVector]:
     """Ground energy and state: dense eigh up to 8 qubits, Lanczos to 20.
 
-    Above ``DENSE_LIMIT`` no matrix is built: thick-restart Lanczos runs on
-    the matrix-free :func:`apply_hamiltonian`, in real arithmetic when H is
-    a real matrix.  Its working set is bounded by the basis: about
-    ``LANCZOS_BASIS + LANCZOS_KEPT + 4`` vectors of 2**n amplitudes.  The
-    returned state is complex either way.
+    Up to ``DENSE_LIMIT`` qubits, ``np.linalg.eigh`` diagonalizes the
+    matrix written from the compiled flip/phase groups, a real symmetric
+    one when H is a real matrix; :func:`hamiltonian_matrix` is not called.
+    Above it no matrix is built: thick-restart Lanczos runs on the
+    matrix-free :func:`apply_hamiltonian`, in real arithmetic when H is a
+    real matrix.  Its working set is bounded by the basis: about
+    ``LANCZOS_BASIS + LANCZOS_KEPT + 4`` vectors of 2**n amplitudes.
+    Nothing is cached but the compiled groups.  The returned state is
+    complex either way.
     """
     n = h.num_qubits
     if n <= DENSE_LIMIT:
-        evals, evecs = np.linalg.eigh(hamiltonian_matrix(h))
-        return float(evals[0]), StateVector(n, evecs[:, 0].copy())
+        evals, evecs = np.linalg.eigh(_dense_matrix(h))
+        return float(evals[0]), StateVector(n, evecs[:, 0].astype(complex))
     if n <= ITERATIVE_LIMIT:
         energy, vec = _lanczos_ground(h, seed=7)
         return energy, StateVector(n, vec.astype(complex, copy=False))

@@ -56,9 +56,9 @@ def test_hamiltonian_matrix_hermitian_and_consistent():
 
 
 @st.composite
-def pauli_hamiltonians(draw):
-    """Random X/Y/Z words on 1-6 qubits, with mask-sharing partners and I."""
-    n = draw(st.integers(1, 6))
+def pauli_hamiltonians(draw, max_qubits=6):
+    """Random X/Y/Z words on 1 to max_qubits qubits, with mask partners and I."""
+    n = draw(st.integers(1, max_qubits))
     words = draw(
         st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=1, max_size=8)
     )
@@ -76,12 +76,43 @@ def pauli_hamiltonians(draw):
 
 @given(pauli_hamiltonians(), st.integers(0, 2**32 - 1))
 def test_compiled_operator_matches_kronecker_assembly(h, seed):
+    """The matrix-free operator and the dense matrix of the compiled groups."""
     rng = np.random.default_rng(seed)
     dim = 2**h.num_qubits
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    reference = hamiltonian_matrix(h)
     np.testing.assert_allclose(
-        apply_hamiltonian(amps, h), hamiltonian_matrix(h) @ amps, rtol=0, atol=1e-12
+        apply_hamiltonian(amps, h), reference @ amps, rtol=0, atol=1e-12
     )
+    bound = sum(abs(t.coefficient) for t in h.terms)
+    odd_y = any(sum(c == "Y" for _, c in t.factors) % 2 for t in h.terms)
+    mat = oracles._dense_matrix(h)
+    assert mat.dtype == (np.complex128 if odd_y else np.float64)
+    np.testing.assert_allclose(mat, reference, rtol=0, atol=1e-14 * bound)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_zero_hamiltonian_on_the_dense_route(n):
+    h = Hamiltonian(n, ())
+    mat = oracles._dense_matrix(h)
+    assert mat.dtype == np.float64
+    np.testing.assert_array_equal(mat, hamiltonian_matrix(h))
+    e0, state = exact_ground_energy(h)
+    assert e0 == 0.0
+    assert state.amps.dtype == np.complex128
+    assert np.linalg.norm(state.amps) == pytest.approx(1.0, abs=1e-12)
+
+
+@given(pauli_hamiltonians(max_qubits=8))
+def test_dense_route_matches_the_kronecker_ground_energy(h):
+    bound = sum(abs(t.coefficient) for t in h.terms)
+    want = np.linalg.eigh(hamiltonian_matrix(h))[0][0]
+    e0, state = exact_ground_energy(h)
+    assert abs(e0 - want) <= 1e-12 * bound
+    assert state.amps.dtype == np.complex128
+    assert np.linalg.norm(state.amps) == pytest.approx(1.0, abs=1e-12)
+    residual = apply_hamiltonian(state.amps, h) - e0 * state.amps
+    assert np.linalg.norm(residual) <= 1e-10 * bound
 
 
 def test_dense_reference_reaches_ten_qubits():
@@ -131,10 +162,13 @@ def test_known_ground_energies():
 
 
 def test_dense_and_lanczos_agree():
+    """Compiled dense, Lanczos and the Kronecker reference at the boundary."""
     h, _ = build_1d_cluster(4, 2, lam=1.0, seed=6)  # 8 qubits: the dense boundary
     assert h.num_qubits == oracles.DENSE_LIMIT
     e_dense, _ = exact_ground_energy(h)
     e_lanczos, vec = _lanczos_ground(h, seed=7)
+    e_kron = np.linalg.eigh(hamiltonian_matrix(h))[0][0]
+    assert abs(e_dense - e_kron) < 1e-12
     assert abs(e_dense - e_lanczos) < 1e-8
     residual = apply_hamiltonian(vec, h) - e_lanczos * vec
     assert np.linalg.norm(residual) < 1e-7
@@ -151,12 +185,32 @@ def _no_dense_matrix(h):
     raise AssertionError(f"dense matrix built for {h.num_qubits} qubits")
 
 
+def _no_lanczos(h, seed):
+    raise AssertionError(f"Lanczos ran for {h.num_qubits} qubits")
+
+
+def _forbid_dense(monkeypatch):
+    """Fail on any dense matrix, compiled or Kronecker-summed."""
+    monkeypatch.setattr(oracles, "hamiltonian_matrix", _no_dense_matrix)
+    monkeypatch.setattr(oracles, "_dense_matrix", _no_dense_matrix)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_dense_route_never_calls_the_kronecker_reference(monkeypatch, n):
+    h, _ = build_1d_cluster(n, 1, lam=1.0, seed=6)
+    want = np.linalg.eigh(hamiltonian_matrix(h))[0][0]
+    monkeypatch.setattr(oracles, "hamiltonian_matrix", _no_dense_matrix)
+    monkeypatch.setattr(oracles, "_lanczos_ground", _no_lanczos)
+    e0, _ = exact_ground_energy(h)
+    assert e0 == pytest.approx(want, abs=1e-12)
+
+
 @pytest.mark.parametrize(
     "builder, n, k", [(build_2d_web, 3, 3), (build_1d_cluster, 5, 2)]
 )
 def test_nine_and_ten_qubits_take_the_lanczos_route(monkeypatch, builder, n, k):
     h, _ = builder(n, k, lam=1.0, seed=6)
-    monkeypatch.setattr(oracles, "hamiltonian_matrix", _no_dense_matrix)
+    _forbid_dense(monkeypatch)
     e0, state = exact_ground_energy(h)
     residual = apply_hamiltonian(state.amps, h) - e0 * state.amps
     assert np.linalg.norm(residual) < 1e-7
@@ -322,7 +376,7 @@ def test_lanczos_route_reproduces_decoupled_web_blocks(monkeypatch):
     h, _ = build_2d_web(4, 3, lam=0.0, seed=7)  # 12 qubits, three equal rows
     block, _ = build_1d_cluster(4, 1, lam=0.0, seed=7)
     block_energy, _ = exact_ground_energy(block)
-    monkeypatch.setattr(oracles, "hamiltonian_matrix", _no_dense_matrix)
+    _forbid_dense(monkeypatch)
     e0, state = exact_ground_energy(h)
     assert e0 == pytest.approx(3 * block_energy, abs=1e-9)
     residual = apply_hamiltonian(state.amps, h) - e0 * state.amps
@@ -330,7 +384,7 @@ def test_lanczos_route_reproduces_decoupled_web_blocks(monkeypatch):
 
 
 def test_lanczos_route_identity_hamiltonian(monkeypatch):
-    monkeypatch.setattr(oracles, "hamiltonian_matrix", _no_dense_matrix)
+    _forbid_dense(monkeypatch)
     h = Hamiltonian(11, (PauliTerm(-0.75, ()),))
     e0, state = exact_ground_energy(h)
     assert e0 == pytest.approx(-0.75, abs=1e-12)
@@ -338,7 +392,7 @@ def test_lanczos_route_identity_hamiltonian(monkeypatch):
 
 
 def test_lanczos_route_zero_hamiltonian(monkeypatch):
-    monkeypatch.setattr(oracles, "hamiltonian_matrix", _no_dense_matrix)
+    _forbid_dense(monkeypatch)
     e0, state = exact_ground_energy(Hamiltonian(11, ()))
     assert e0 == 0.0
     assert np.linalg.norm(state.amps) == pytest.approx(1.0, abs=1e-12)
