@@ -14,9 +14,7 @@ from .statevector import (
     Circuit,
     GateOp,
     StateVector,
-    apply_circuit,
     build_hardware_efficient_ansatz,
-    inner_product,
     pauli_expectation,
 )
 from .tensors import (
@@ -34,7 +32,6 @@ from .tree import (
     build_two_layer_cq,
     build_two_layer_qc,
     build_two_layer_qq,
-    cost_estimate,
     tree_energy,
     tree_expectation,
     tree_overlap,
@@ -69,9 +66,7 @@ __all__ = [
     "Circuit",
     "GateOp",
     "StateVector",
-    "apply_circuit",
     "build_hardware_efficient_ansatz",
-    "inner_product",
     "pauli_expectation",
     "ClassicalTensor",
     "HermitianObservable",
@@ -85,7 +80,6 @@ __all__ = [
     "build_two_layer_cq",
     "build_two_layer_qc",
     "build_two_layer_qq",
-    "cost_estimate",
     "tree_energy",
     "tree_expectation",
     "tree_overlap",

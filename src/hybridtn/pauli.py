@@ -289,20 +289,6 @@ def decompose_for_layout(
     return tuple(out)
 
 
-def recompose_for_layout(
-    decomposed, layout: SubsystemLayout, num_qubits: int
-) -> Hamiltonian:
-    """Inverse of :func:`decompose_for_layout` (used for round-trip checks)."""
-    terms = []
-    for coeff, factors in decomposed:
-        pairs = []
-        for s, local_obs in enumerate(factors):
-            for r, letter in local_obs:
-                pairs.append((layout.to_global(s, r), letter))
-        terms.append(PauliTerm(coeff, tuple(pairs)))
-    return Hamiltonian(num_qubits, tuple(terms))
-
-
 def hamiltonian_to_text(h: Hamiltonian) -> str:
     """One term per line: ``<coefficient> <letter><qubit> ...``.
 
@@ -315,29 +301,3 @@ def hamiltonian_to_text(h: Hamiltonian) -> str:
         parts.extend(f"{letter}{qubit}" for qubit, letter in term.factors)
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
-
-
-def hamiltonian_from_text(text: str) -> Hamiltonian:
-    """Parse the line format written by :func:`hamiltonian_to_text`."""
-    num_qubits = None
-    terms = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if "qubits:" in line:
-                num_qubits = int(line.split("qubits:")[1])
-            continue
-        fields = line.split()
-        coeff = float(fields[0])
-        factors = []
-        for token in fields[1:]:
-            letter, qubit = token[0], int(token[1:])
-            factors.append((qubit, letter))
-        terms.append(PauliTerm(coeff, tuple(factors)))
-    if num_qubits is None:
-        num_qubits = 1 + max(
-            (term.max_qubit() for term in terms if term.factors), default=0
-        )
-    return Hamiltonian(num_qubits, tuple(terms))

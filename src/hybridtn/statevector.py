@@ -3,8 +3,8 @@
 Conventions, fixed across the package:
 
 * Qubit 0 is the least significant bit of the amplitude index, so basis
-  label strings read like kets: ``init_basis_state(3, "100")`` puts the
-  excitation on qubit 2 and sets amplitude index ``int("100", 2) == 4``.
+  label strings read like kets: on 3 qubits the label ``"100"`` puts the
+  excitation on qubit 2 and is amplitude index ``int("100", 2) == 4``.
 * Rotation gates are ``R_P(theta) = exp(-i * theta * P / 2)`` for
   P in {X, Y, Z}; the two-qubit coupler is ``RZZ(theta) = exp(-i * theta *
   Z (x) Z)`` with no half-angle, so ``RZZ(theta)|00> = exp(-i*theta)|00>``.
@@ -51,8 +51,6 @@ _I_MAT = np.eye(2, dtype=complex)
 PAULI_MATRICES = {"X": _X_MAT, "Y": _Y_MAT, "Z": _Z_MAT}
 # RX(theta) = cos(theta/2) I + sin(theta/2) (-iX), RY likewise with -iY
 _GENERATORS = {"RX": -1j * _X_MAT, "RY": -1j * _Y_MAT}
-
-NORM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -112,15 +110,6 @@ class StateVector:
     def __post_init__(self):
         if self.amps.shape != (2**self.num_qubits,):
             raise ValueError("amplitude length does not match qubit count")
-
-
-def init_basis_state(num_qubits: int, bits: str) -> StateVector:
-    """Computational basis state labelled by ``bits`` (qubit n-1 leftmost)."""
-    if len(bits) != num_qubits or set(bits) - {"0", "1"}:
-        raise ValueError(f"bad basis label {bits!r} for {num_qubits} qubits")
-    amps = np.zeros(2**num_qubits, dtype=complex)
-    amps[int(bits, 2)] = 1.0
-    return StateVector(num_qubits, amps)
 
 
 # ---------------------------------------------------------------------------
@@ -463,23 +452,6 @@ def apply_pauli_array(amps: np.ndarray, factors, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # public statevector operations
 
-def apply_circuit(state: StateVector, circuit: Circuit, params=None) -> StateVector:
-    if state.num_qubits != circuit.num_qubits:
-        raise ValueError("state and circuit sizes differ")
-    amps = apply_circuit_array(state.amps, circuit, params)
-    norm = float(np.linalg.norm(amps))
-    if abs(norm - np.linalg.norm(state.amps)) > NORM_TOL:
-        raise AssertionError(f"circuit application changed the norm: {norm}")
-    return StateVector(state.num_qubits, amps)
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b> with the bra conjugated."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError("states live on different registers")
-    return complex(np.vdot(a.amps, b.amps))
-
-
 def pauli_expectation(state: StateVector, term: PauliTerm) -> float:
     """coefficient * <s|P|s>; real because Pauli strings are Hermitian."""
     if term.max_qubit() >= state.num_qubits:
@@ -570,17 +542,3 @@ def circuit_to_json(circuit: Circuit) -> str:
         "ops": ops,
     }
     return json.dumps(doc, sort_keys=True)
-
-
-def circuit_from_json(text: str) -> Circuit:
-    doc = json.loads(text)
-    ops = tuple(
-        GateOp(
-            entry["kind"],
-            tuple(entry["targets"]),
-            param=entry.get("param"),
-            angle=entry.get("angle"),
-        )
-        for entry in doc["ops"]
-    )
-    return Circuit(doc["num_qubits"], ops, doc["num_params"])

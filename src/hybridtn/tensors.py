@@ -22,9 +22,8 @@ realization rule (psi / phi are family states, alpha a classical array):
     5. quantum <-> quantum between two quantum tensors:
        psi~ = sum_i <i|psi> (x) <i|phi>
 
-Case 5 is a Bell-pair projection: the result is unnormalised and the
-network tracks its squared norm explicitly; each network admits at most
-``CASE5_BUDGET`` (2) such edges.
+Case 5 is a Bell-pair projection: the result is unnormalised, and
+:class:`RealizedState` tracks its squared norm explicitly.
 
 Branch observables M^{i',i} = <psi^{i'}| O_1 (x) ... (x) O_n |psi^i> can be
 measured four ways (``direct``, ``hadamard_test``, ``superposition_input``,
@@ -55,23 +54,6 @@ DISTINCT_UNITARIES = "distinct_unitaries"
 SHARED_UNITARY = "shared_unitary"
 
 HERMITICITY_TOL = 1e-10
-
-
-class Case5BudgetError(ValueError):
-    """Raised when a network exceeds its quantum-quantum contraction budget."""
-
-
-@dataclass(frozen=True)
-class TensorIndex:
-    label: str
-    dimension: int
-    kind: str  # "quantum" | "classical"
-
-    def __post_init__(self):
-        if self.kind not in ("quantum", "classical"):
-            raise ValueError(f"bad index kind {self.kind!r}")
-        if self.dimension < 1:
-            raise ValueError("index dimension must be positive")
 
 
 @dataclass(frozen=True)
@@ -182,11 +164,6 @@ class QuantumTensor:
         return len(self.circuits)
 
     @property
-    def num_labels(self) -> int:
-        """Branch-index size: open index dimension or classical label count."""
-        return 2 if self.open_qubit is not None else self.num_labels_classical()
-
-    @property
     def num_params(self) -> int:
         return sum(c.num_params for c in self.circuits)
 
@@ -206,16 +183,6 @@ class QuantumTensor:
             if self.params
             else np.zeros(0)
         )
-
-    def indices(self) -> dict[str, TensorIndex]:
-        out: dict[str, TensorIndex] = {}
-        if self.open_qubit is not None:
-            out["open"] = TensorIndex("open", 2, "quantum")
-        elif self.num_labels_classical() >= 1:
-            out["i"] = TensorIndex("i", self.num_labels_classical(), "classical")
-        for j, group in enumerate(self.quantum_groups):
-            out[f"q{j}"] = TensorIndex(f"q{j}", 2 ** len(group), "quantum")
-        return out
 
     def group_qubits(self, label: str) -> tuple[int, ...]:
         if label == "open":
@@ -261,12 +228,6 @@ class ClassicalTensor:
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("axis labels must be unique")
 
-    def indices(self) -> dict[str, TensorIndex]:
-        return {
-            label: TensorIndex(label, dim, "classical")
-            for label, dim in zip(self.labels, self.entries.shape)
-        }
-
     def axis_of(self, label: str) -> int:
         return self.labels.index(label)
 
@@ -293,10 +254,6 @@ class MpsTensor:
         return len(self.cores)
 
     @property
-    def chi(self) -> int:
-        return max(core.shape[2] for core in self.cores)
-
-    @property
     def site_dims(self) -> tuple[int, ...]:
         return tuple(core.shape[1] for core in self.cores)
 
@@ -319,107 +276,6 @@ class HermitianObservable:
     def hermitized(cls, m) -> "HermitianObservable":
         m = np.asarray(m, dtype=complex)
         return cls((m + m.conj().T) / 2.0)
-
-
-# ---------------------------------------------------------------------------
-# network of typed edges
-
-@dataclass(frozen=True)
-class Endpoint:
-    node: str
-    index: str
-
-
-@dataclass(frozen=True)
-class Edge:
-    case: int
-    a: Endpoint
-    b: Endpoint
-    dimension: int
-
-
-CASE5_BUDGET = 2  # case-5 (Bell-pair projection) edges one network admits
-
-
-class HybridNetwork:
-    """Nodes plus typed edges; enforces case typing and the case-5 budget."""
-
-    def __init__(self):
-        self.nodes: dict[str, object] = {}
-        self.edges: list[Edge] = []
-
-    def add(self, name: str, tensor) -> "HybridNetwork":
-        if name in self.nodes:
-            raise ValueError(f"node {name!r} already present")
-        if not isinstance(tensor, (QuantumTensor, ClassicalTensor)):
-            raise TypeError(f"unsupported tensor type {type(tensor).__name__}")
-        self.nodes[name] = tensor
-        return self
-
-    def _endpoint_index(self, endpoint: tuple[str, str]) -> TensorIndex:
-        node, label = endpoint
-        if node not in self.nodes:
-            raise ValueError(f"unknown node {node!r}")
-        table = self.nodes[node].indices()
-        if label not in table:
-            raise ValueError(f"node {node!r} has no index {label!r}")
-        return table[label]
-
-    def _used(self, endpoint: Endpoint) -> bool:
-        return any(endpoint in (edge.a, edge.b) for edge in self.edges)
-
-    def connect(self, a: tuple[str, str], b: tuple[str, str]) -> Edge:
-        """Connect two indices, classifying the contraction case.
-
-        For the mixed cases the stored edge puts the quantum tensor (case
-        1, 2) or the quantum-index side (case 4) first.
-        """
-        idx_a, idx_b = self._endpoint_index(a), self._endpoint_index(b)
-        ta, tb = self.nodes[a[0]], self.nodes[b[0]]
-        if idx_a.dimension != idx_b.dimension:
-            raise ValueError(
-                f"dimension mismatch: {idx_a.dimension} vs {idx_b.dimension}"
-            )
-        ea, eb = Endpoint(*a), Endpoint(*b)
-        for endpoint in (ea, eb):
-            if self._used(endpoint):
-                raise ValueError(f"index {endpoint} already contracted")
-
-        quantum_a = isinstance(ta, QuantumTensor)
-        quantum_b = isinstance(tb, QuantumTensor)
-        if quantum_a and quantum_b:
-            case = {"classical-classical": 3, "quantum-classical": 4,
-                    "classical-quantum": 4, "quantum-quantum": 5}[
-                        f"{idx_a.kind}-{idx_b.kind}"]
-            if case == 4 and idx_a.kind == "classical":
-                ea, eb = eb, ea
-        elif quantum_a or quantum_b:
-            if not quantum_a:
-                ea, eb, idx_a = eb, ea, idx_b
-            case = 1 if idx_a.kind == "classical" else 2
-        else:
-            raise ValueError(
-                "purely classical contraction is outside the five hybrid cases"
-            )
-        if case == 5:
-            have = sum(1 for e in self.edges if e.case == 5)
-            if have >= CASE5_BUDGET:
-                raise Case5BudgetError(
-                    f"case-5 budget of {CASE5_BUDGET} edges exhausted"
-                )
-        edge = Edge(case, ea, eb, idx_a.dimension)
-        self.edges.append(edge)
-        return edge
-
-    # -- realization of a single contracted pair ----------------------------
-
-    def realize_pair(self) -> "RealizedState":
-        """Materialise a two-node, one-edge network as a dense state family."""
-        if len(self.nodes) != 2 or len(self.edges) != 1:
-            raise ValueError("realize_pair needs exactly two nodes and one edge")
-        edge = self.edges[0]
-        ta, tb = self.nodes[edge.a.node], self.nodes[edge.b.node]
-        return realize_case(edge.case, ta, edge.a.index, tb, edge.b.index)
 
 
 @dataclass(frozen=True)
@@ -689,38 +545,6 @@ def reconstruct_from_pauli(
     return HermitianObservable.hermitized(m)
 
 
-def case1_expectation_orders(
-    q: QuantumTensor,
-    alpha: ClassicalTensor,
-    weights: np.ndarray,
-    local_obs: PauliTerm,
-) -> tuple[float, float]:
-    """Evaluate a case-1 pair + observable in both contraction orders.
-
-    Order one realises psi~^m = sum_i alpha[i, m] psi^i first and then
-    takes expectations; order two measures the branch matrix first and
-    contracts classically.  The two must agree to working precision.
-    """
-    if alpha.entries.ndim != 2:
-        raise ValueError("expected a matrix-shaped classical tensor")
-    a = alpha.entries
-    family = q.family_states()
-    applied = apply_pauli_array(family, local_obs.factors, q.num_qubits)
-
-    realized = np.einsum("im,ix->mx", a, family)
-    realized_applied = np.einsum("im,ix->mx", a, applied)
-    gram = local_obs.coefficient * np.einsum(
-        "mx,nx->mn", realized.conj(), realized_applied
-    )
-    e_contract_first = float(np.real(np.einsum("mn,mn->", weights, gram)))
-
-    m_branch = _direct_matrix(q, local_obs)
-    e_measure_first = float(
-        np.real(np.einsum("im,jn,mn,ij->", a.conj(), a, weights, m_branch))
-    )
-    return e_contract_first, e_measure_first
-
-
 # ---------------------------------------------------------------------------
 # matrix product state contractions
 
@@ -756,11 +580,6 @@ def mps_general_expectation(bra: MpsTensor, ket: MpsTensor, ops):
     return complex(out) if out.ndim == 0 else out
 
 
-def mps_expectation(m: MpsTensor, ops) -> complex:
-    """Expectation of a product of single-site operators (None = identity)."""
-    return mps_general_expectation(m, m, ops)
-
-
 def mps_open_site_matrix(
     bra: MpsTensor, ket: MpsTensor, open_site: int, ops
 ) -> np.ndarray:
@@ -778,28 +597,3 @@ def mps_open_site_matrix(
         right = np.einsum("apb,...pq,cqd,...bd->...ac", cb.conj(), op, ck, right)
     cb, ck = bra.cores[open_site], ket.cores[open_site]
     return np.einsum("...ac,apb,cqd,...bd->...pq", left, cb.conj(), ck, right)
-
-
-def random_mps(num_sites: int, chi: int, seed: int) -> MpsTensor:
-    """Gaussian random MPS over binary sites, scaled to unit norm."""
-    rng = np.random.default_rng(seed)
-    cores = []
-    for site in range(num_sites):
-        left = 1 if site == 0 else chi
-        right = 1 if site == num_sites - 1 else chi
-        shape = (left, 2, right)
-        core = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        cores.append(core / math.sqrt(left * 2 * right))
-    m = MpsTensor(tuple(cores))
-    norm_sq = mps_expectation(m, None).real
-    return MpsTensor((m.cores[0] / math.sqrt(norm_sq),) + m.cores[1:])
-
-
-def mps_from_product(bits: str) -> MpsTensor:
-    """chi = 1 product state |bits> (leftmost character = site 0)."""
-    cores = []
-    for char in bits:
-        core = np.zeros((1, 2, 1), dtype=complex)
-        core[0, int(char), 0] = 1.0
-        cores.append(core)
-    return MpsTensor(tuple(cores))

@@ -16,9 +16,10 @@ three two-layer variants are
 * ``cq``  quantum root, MPS branches whose site 0 is the branch leg
           (case 2: quantum parent, MPS child).
 
-Every tree quantity -- expectation, energy, overlap, transition element,
-and the perturbed states of the imaginary-time stencil -- comes from one
-bottom-up contraction (:class:`_Pass`).  A node whose family is a stack
+Every tree quantity -- expectation, energy, overlap, the transition
+element <a|H|b> between two trees, and the perturbed states of the
+imaginary-time stencil -- comes from one bottom-up contraction
+(:class:`_Pass`).  A node whose family is a stack
 of perturbed rows is *open*.
 
 * Overlaps reduce each node to a block <bra family|ket family> over its
@@ -608,11 +609,6 @@ def tree_overlap(a: HybridTree, b: HybridTree) -> complex:
     return complex(_Pass(a, b).block(0)[0, 0, 0, 0])
 
 
-def tree_transition(a: HybridTree, b: HybridTree, obs: ProductObservable) -> complex:
-    """<psi~_a | O_1 (x) ... (x) O_k | psi~_b> between two trees."""
-    return _Pass(a, b, ((1.0, obs.factors),)).term_sum()
-
-
 def tree_transition_energy(a: HybridTree, b: HybridTree, h: Hamiltonian) -> complex:
     """<psi~_a | H | psi~_b> as a decomposed-term sum."""
     return _Pass(a, b, decompose_for_layout(h, b.layout)).term_sum()
@@ -684,58 +680,3 @@ def build_two_layer_cq(root_circuit: Circuit, branch_mps, params) -> HybridTree:
     links = tuple(ChildLink(s, TreeNode(m)) for s, m in enumerate(branch_mps))
     layout = _layout_for_sizes(tuple(m.num_sites - 1 for m in branch_mps))
     return HybridTree(TreeNode(_family(root_circuit, 1), links), layout).with_params(params)
-
-
-# ---------------------------------------------------------------------------
-# cost model
-
-class CostEstimate(NamedTuple):
-    quantum_evals: int
-    classical_flops: float
-    quantum_samples: float
-    bound: float
-
-
-def cost_estimate(tree: HybridTree, epsilon: float) -> CostEstimate:
-    """Evaluation cost of one product-observable pass.
-
-    Each quantum node contributes one evaluation of chi**2 / epsilon**2
-    samples; each classical node contributes sites * chi**4 contraction
-    flops.  The reported ``bound`` is the geometric node-count envelope
-    sum_{i<D} t**i times the worst per-node cost, with D the number of
-    levels and t the largest child count, which dominates the actual
-    totals and grows linearly in the leaf count for fixed depth.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-
-    def levels(node: TreeNode) -> int:
-        return 1 + max((levels(link.node) for link in node.children), default=0)
-
-    nodes = list(_preorder(tree.root))
-    degree = max(len(node.children) for node in nodes)
-    quantum_nodes = 0
-    classical_flops = 0.0
-    chi = 2
-    max_sites = degree
-    for node in nodes:
-        for link in node.children:
-            if isinstance(link.node.payload, QuantumTensor):
-                chi = max(chi, link.node.payload.num_labels)
-        if isinstance(node.payload, QuantumTensor):
-            quantum_nodes += 1
-        else:
-            payload = node.payload
-            chi = max(chi, payload.chi)
-            max_sites = max(max_sites, payload.num_sites)
-            classical_flops += payload.num_sites * payload.chi**4
-    cq_unit = float(np.ceil(chi**2 / epsilon**2))
-    cc_unit = max_sites * chi**4
-    nodes_geom = sum(degree**i for i in range(levels(tree.root)))
-    bound = nodes_geom * (cq_unit + cc_unit)
-    return CostEstimate(
-        quantum_evals=quantum_nodes,
-        classical_flops=classical_flops,
-        quantum_samples=quantum_nodes * cq_unit,
-        bound=bound,
-    )

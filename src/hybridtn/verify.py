@@ -409,7 +409,8 @@ def check_descent(seed: int = 21) -> CheckResult:
     tree = random_qq_tree(rng, 2, 2, depth_u=2, depth_v=1)
     h, _ = build_1d_cluster(2, 2, lam=1.0, seed=5)
     problem = TreeProblem(tree, h)
-    config = IteConfig(max_iters=15, conv_window=10**9)
+    # reg 1e-2 as in the acceptance configs: at 1e-6 any rounding moves the path
+    config = IteConfig(max_iters=15, conv_window=10**9, reg=1e-2)
     result = run_ite(problem, config)
     energies = [r.energy for r in result.trajectory if r.accepted]
     drops = [b - a for a, b in zip(energies, energies[1:])]

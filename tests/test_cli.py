@@ -25,7 +25,10 @@ from hybridtn.cli import (
 )
 from hybridtn import ite
 from hybridtn.ite import IteRecord, TreeProblem, _perturbed_stack
-from hybridtn.pauli import FieldValues, build_1d_cluster, hamiltonian_from_text
+from hybridtn.pauli import FieldValues, build_1d_cluster
+from hybridtn.verify import check_descent
+
+from _support import hamiltonian_from_text
 
 GOLDEN_2D_GROUND = -3.0959559301377086  # 2d_web n=2 k=2 lambda=1 seed=11
 
@@ -562,6 +565,13 @@ def test_verify_verb_reports_all_checks_passing(tmp_path, capsys, monkeypatch):
     assert len(lines) >= 11
     assert all("PASS" in line for line in lines[:-1])
     assert lines[-1] == "10/10 checks passed"
+
+
+def test_descent_check_figure_is_stable_under_a_tiny_start_shift(monkeypatch):
+    before = check_descent().detail
+    draw = ite.initial_parameters
+    monkeypatch.setattr(ite, "initial_parameters", lambda *a, **kw: draw(*a, **kw) + 1e-12)
+    assert check_descent().detail == before
 
 
 def test_verify_verb_rejects_negative_shots(capsys):

@@ -46,9 +46,8 @@ from hybridtn.statevector import (
     apply_circuit_array,
     apply_pauli_array,
     build_hardware_efficient_ansatz,
-    circuit_from_json,
 )
-from hybridtn.tensors import QuantumTensor, random_mps
+from hybridtn.tensors import QuantumTensor
 from hybridtn.tree import (
     ChildLink,
     HybridTree,
@@ -65,6 +64,7 @@ from hybridtn.tree import (
 )
 from hybridtn.verify import random_circuit, random_qq_tree, tree_to_dense_spec
 
+from _support import circuit_from_json, random_mps
 from test_statevector import dense_circuit
 
 

@@ -27,8 +27,10 @@ from hybridtn.oracles import (
 )
 from hybridtn.pauli import Hamiltonian, PauliTerm, build_1d_cluster, build_2d_web
 from hybridtn.statevector import Circuit
-from hybridtn.tensors import QuantumTensor, mps_from_product
+from hybridtn.tensors import QuantumTensor
 from hybridtn.verify import random_qq_tree, tree_to_dense_spec
+
+from _support import mps_from_product
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

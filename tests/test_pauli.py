@@ -1,6 +1,5 @@
 """Pauli terms, Hamiltonians, layouts, and the two spin models."""
 
-import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -13,11 +12,11 @@ from hybridtn.pauli import (
     build_1d_cluster,
     build_2d_web,
     decompose_for_layout,
-    hamiltonian_from_text,
     hamiltonian_to_text,
-    recompose_for_layout,
 )
 from hybridtn.rng import SplitMix64
+
+from _support import hamiltonian_from_text, recompose_for_layout
 
 
 # ---------------------------------------------------------------------------

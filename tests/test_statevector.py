@@ -16,21 +16,19 @@ from hybridtn.statevector import (
     LocalLayer,
     StateVector,
     ansatz_param_count,
-    apply_circuit,
     apply_circuit_array,
     apply_pauli_array,
     build_hardware_efficient_ansatz,
-    circuit_from_json,
     circuit_to_json,
     gate_matrix,
-    init_basis_state,
-    inner_product,
     pauli_expectation,
     sample_pauli_expectation,
     sweep_circuit,
     _row_blocks,
 )
 from hybridtn.verify import random_circuit
+
+from _support import circuit_from_json, init_basis_state
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +234,9 @@ def test_basis_state_labels():
 
 def test_apply_circuit_state_level():
     circuit = Circuit(2, (GateOp("H", (0,)), GateOp("CNOT", (0, 1))), 0)
-    out = apply_circuit(init_basis_state(2, "00"), circuit)
-    np.testing.assert_allclose(
-        out.amps, np.array([1, 0, 0, 1]) / math.sqrt(2), atol=1e-15
-    )
-    assert abs(inner_product(out, out) - 1.0) < 1e-12
+    out = apply_circuit_array(init_basis_state(2, "00").amps, circuit, None)
+    np.testing.assert_allclose(out, np.array([1, 0, 0, 1]) / math.sqrt(2), atol=1e-15)
+    assert abs(np.vdot(out, out) - 1.0) < 1e-12
 
 
 @given(st.integers(0, 2**32 - 1))

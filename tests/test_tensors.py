@@ -11,32 +11,27 @@ from hybridtn.oracles import dense_contract_pair, mps_dense
 from hybridtn.pauli import PauliTerm
 from hybridtn.statevector import Circuit, GateOp
 from hybridtn.tensors import (
-    Case5BudgetError,
     ClassicalTensor,
     HermitianObservable,
-    HybridNetwork,
     MpsTensor,
     QuantumTensor,
     branch_matrix_raw,
-    case1_expectation_orders,
     compose_registers,
     measure_branch_observable,
-    mps_expectation,
-    mps_from_product,
     mps_general_expectation,
     mps_open_site_matrix,
     project_group,
-    random_mps,
     realize_case,
     reconstruct_from_pauli,
 )
 from hybridtn.verify import (
     check_measurement_strategies,
     random_case_instance,
-    random_circuit,
     random_local_term,
     random_quantum_tensor,
 )
+
+from _support import case1_expectation_orders, mps_expectation, mps_from_product, random_mps
 
 
 def computational_family(n: int, labels) -> QuantumTensor:
@@ -238,65 +233,6 @@ def test_hermitian_observable_validation():
     m = np.array([[1.0, 2.0 + 1j], [0.0, 3.0]])
     sym = HermitianObservable.hermitized(m).entries
     np.testing.assert_allclose(sym, (m + m.conj().T) / 2)
-
-
-# ---------------------------------------------------------------------------
-# typed network
-
-def test_network_classifies_cases():
-    rng = np.random.default_rng(36)
-    net = HybridNetwork()
-    net.add("q", random_quantum_tensor(rng, 2, 2))
-    net.add("c", ClassicalTensor(rng.normal(size=(2, 3)), ("i", "m")))
-    edge = net.connect(("q", "i"), ("c", "i"))
-    assert edge.case == 1
-    got = net.realize_pair()
-    want_amps, _ = dense_contract_pair(1, net.nodes["q"], "i", net.nodes["c"], "i")
-    np.testing.assert_allclose(got.amps, want_amps, atol=1e-10)
-
-
-def test_network_case_ordering_and_budget():
-    rng = np.random.default_rng(37)
-    net = HybridNetwork()
-    net.add("a", random_quantum_tensor(rng, 2, 1, groups=((0,), (1,))))
-    net.add("b", random_quantum_tensor(rng, 2, 1, groups=((0,), (1,))))
-    assert net.connect(("a", "q0"), ("b", "q0")).case == 5
-    assert net.connect(("a", "q1"), ("b", "q1")).case == 5
-    net.add("c", random_quantum_tensor(rng, 1, 1, groups=((0,),)))
-    net.add("d", random_quantum_tensor(rng, 1, 1, groups=((0,),)))
-    with pytest.raises(Case5BudgetError):
-        net.connect(("c", "q0"), ("d", "q0"))
-
-
-def test_network_rejects_bad_edges():
-    rng = np.random.default_rng(38)
-    net = HybridNetwork()
-    net.add("q", random_quantum_tensor(rng, 2, 2))
-    net.add("c", ClassicalTensor(rng.normal(size=(3, 2)), ("i", "m")))
-    with pytest.raises(ValueError):
-        net.connect(("q", "i"), ("c", "i"))  # 2 vs 3
-    net2 = HybridNetwork()
-    net2.add("x", ClassicalTensor(rng.normal(size=(2, 2)), ("i", "m")))
-    net2.add("y", ClassicalTensor(rng.normal(size=(2, 2)), ("i", "m")))
-    with pytest.raises(ValueError):
-        net2.connect(("x", "i"), ("y", "i"))  # no quantum tensor involved
-
-
-def test_network_rejects_mps_nodes():
-    net = HybridNetwork()
-    with pytest.raises(TypeError, match="MpsTensor"):
-        net.add("m", random_mps(2, chi=2, seed=43))
-    assert not net.nodes
-
-
-def test_quantum_classical_edge_puts_quantum_index_first():
-    rng = np.random.default_rng(39)
-    net = HybridNetwork()
-    net.add("open", random_quantum_tensor(rng, 2, 1, groups=((0,),)))
-    net.add("fam", random_quantum_tensor(rng, 1, 2))
-    edge = net.connect(("fam", "i"), ("open", "q0"))
-    assert edge.case == 4
-    assert edge.a.node == "open"  # quantum-index side is stored first
 
 
 # ---------------------------------------------------------------------------

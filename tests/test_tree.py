@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from hybridtn.oracles import (
     DenseTreeSpec,
@@ -14,13 +12,14 @@ from hybridtn.oracles import (
     pauli_term_matrix,
 )
 from hybridtn.pauli import (
+    Hamiltonian,
     PauliTerm,
     build_1d_cluster,
     build_2d_web,
     decompose_for_layout,
 )
 from hybridtn.statevector import build_hardware_efficient_ansatz
-from hybridtn.tensors import QuantumTensor, measure_branch_observable, random_mps
+from hybridtn.tensors import QuantumTensor, measure_branch_observable
 from hybridtn.tree import (
     ChildLink,
     EvalCounters,
@@ -31,15 +30,14 @@ from hybridtn.tree import (
     build_two_layer_cq,
     build_two_layer_qc,
     build_two_layer_qq,
-    cost_estimate,
     tree_energy,
     tree_expectation,
     tree_overlap,
-    tree_transition,
     tree_transition_energy,
 )
-from hybridtn.verify import random_local_term, random_qq_tree, tree_to_dense_spec
-from test_ite import _three_layer_tree
+from hybridtn.verify import random_qq_tree, tree_to_dense_spec
+
+from _support import random_mps
 
 
 def global_term(rng: np.random.Generator, num_qubits: int) -> PauliTerm:
@@ -181,10 +179,9 @@ def test_transition_elements_match_dense():
     psi_a = dense_tree_state(tree_to_dense_spec(a))
     psi_b = dense_tree_state(tree_to_dense_spec(b))
 
-    term = global_term(rng, 4)
-    obs = ProductObservable.from_term(term, a.layout)
-    got = tree_transition(a, b, obs)
-    want = psi_a.conj() @ pauli_term_matrix(PauliTerm(1.0, term.factors), 4) @ psi_b
+    term = PauliTerm(1.0, global_term(rng, 4).factors)
+    got = tree_transition_energy(a, b, Hamiltonian(4, (term,)))
+    want = psi_a.conj() @ pauli_term_matrix(term, 4) @ psi_b
     assert got == pytest.approx(complex(want), abs=1e-10)
 
     h, _ = build_1d_cluster(2, 2, lam=0.9, seed=25)
@@ -194,7 +191,7 @@ def test_transition_elements_match_dense():
 
 
 # ---------------------------------------------------------------------------
-# parameters and cost model
+# parameters
 
 def test_parameter_round_trip_and_slices():
     rng = np.random.default_rng(63)
@@ -213,16 +210,6 @@ def test_builder_rejects_wrong_param_length():
     branches = [build_hardware_efficient_ansatz(2, 1) for _ in range(2)]
     with pytest.raises(ValueError):
         build_two_layer_qq(root, branches, np.zeros(3))
-
-
-@given(st.floats(1e-4, 0.5), st.integers(2, 5))
-def test_cost_estimate_bound_dominates(epsilon, k):
-    rng = np.random.default_rng(64)
-    # a two-layer tree of degree k, and a three-layer tree of degree 2
-    for tree in (random_qq_tree(rng, k, 2, depth_u=1, depth_v=1), _three_layer_tree(rng)):
-        est = cost_estimate(tree, epsilon)
-        assert est.quantum_samples + est.classical_flops <= est.bound
-        assert est.quantum_evals > 0
 
 
 def test_quantum_parent_refuses_a_non_binary_child():
