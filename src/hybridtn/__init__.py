@@ -37,7 +37,6 @@ from .tree import (
     tree_overlap,
 )
 from .ite import (
-    CircuitProblem,
     IteConfig,
     IteResult,
     TreeProblem,
@@ -83,7 +82,6 @@ __all__ = [
     "tree_energy",
     "tree_expectation",
     "tree_overlap",
-    "CircuitProblem",
     "IteConfig",
     "IteResult",
     "TreeProblem",

@@ -15,14 +15,14 @@ n0 = <psi(t)|psi(t)>, and the gradient from forward energy differences.
 A step is accepted only if the energy does not increase (up to a small
 slack); the step size shrinks on rejection and grows gently on success.
 
-A *problem* is anything with ``num_params``, ``energy(params)`` and
-``overlap(pa, pb) = <psi(pa)|psi(pb)>``.  Problems may additionally
-provide ``overlap_fd_matrix(params, delta) -> (S, s, n0)`` and
-``energies_fd(params, delta) -> (e0, evec)`` to service the whole
-finite-difference stencil in one batched pass; :class:`TreeProblem`,
-which evaluates every tree exactly, always does so.  Payload circuits
-that are equal on equal initial states, like the sibling branches of the
-built trees, form a group, and each group is simulated in one sweep
+The flow has one problem, :class:`TreeProblem`, which evaluates a tree
+exactly: ``energy(params)`` serves the line search, and the whole
+finite-difference stencil comes in one batched pass each for the metric
+(``_overlap_fd_matrix(params, delta) -> (S, s, n0)``) and the gradient
+(``_energies_fd(params, delta) -> (e0, evec)``).  A single circuit is a
+one-node tree.  Payload circuits that are equal on equal initial
+states, like the sibling branches of the built trees, form a group, and
+each group is simulated in one sweep
 (:func:`hybridtn.statevector.sweep_circuit`) with a parameter row per
 member: at a stencil point the sweep carries the base and every
 single-slot perturbed row of every member, and at a line-search energy
@@ -43,10 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import apply_hamiltonian
 from .pauli import Hamiltonian, decompose_for_layout
 from .rng import SplitMix64
-from .statevector import Circuit, apply_circuit_array
 from .statevector import sweep_circuit as _perturbed_stack
 from .tensors import SHARED_UNITARY, QuantumTensor
 from .tree import HybridTree, _Pass, _preorder, tree_overlap, tree_transition_energy
@@ -60,21 +58,7 @@ ACCEPT_SLACK = 1e-9
 def metric_a(problem, params, delta: float) -> np.ndarray:
     """Symmetrized finite-difference estimate of Re <d_i psi|d_j psi>."""
     params = np.asarray(params, dtype=float)
-    p = problem.num_params
-    if hasattr(problem, "overlap_fd_matrix"):
-        s_mat, s_vec, n0 = problem.overlap_fd_matrix(params, delta)
-    else:
-        shifted = [params.copy() for _ in range(p)]
-        for i in range(p):
-            shifted[i][i] += delta
-        s_mat = np.empty((p, p), dtype=complex)
-        for i in range(p):
-            for j in range(i, p):
-                val = problem.overlap(shifted[i], shifted[j])
-                s_mat[i, j] = val
-                s_mat[j, i] = np.conj(val)
-        s_vec = np.array([problem.overlap(params, sh) for sh in shifted])
-        n0 = problem.overlap(params, params)
+    s_mat, s_vec, n0 = problem._overlap_fd_matrix(params, delta)
     a = (s_mat - np.conj(s_vec)[:, None] - s_vec[None, :] + n0).real
     a /= delta**2
     return 0.5 * (a + a.T)
@@ -83,15 +67,7 @@ def metric_a(problem, params, delta: float) -> np.ndarray:
 def gradient_c(problem, params, delta: float) -> np.ndarray:
     """C_i = (E(t + d e_i) - E(t)) / (2 d) by forward differences."""
     params = np.asarray(params, dtype=float)
-    if hasattr(problem, "energies_fd"):
-        e0, evec = problem.energies_fd(params, delta)
-    else:
-        e0 = problem.energy(params)
-        evec = np.empty(problem.num_params)
-        for i in range(problem.num_params):
-            shifted = params.copy()
-            shifted[i] += delta
-            evec[i] = problem.energy(shifted)
+    e0, evec = problem._energies_fd(params, delta)
     return 0.5 * (np.asarray(evec) - e0) / delta
 
 
@@ -167,13 +143,12 @@ class IteConfig:
 
 @dataclass
 class IteState:
-    """Flow state after one step: parameters, clock, and the solve inputs."""
+    """Flow state after one step: parameters, clock, and the gradient."""
 
     params: np.ndarray
     tau: float
     energy: float
     dtau: float
-    a_matrix: np.ndarray | None = None
     c_vector: np.ndarray | None = None
     accepted: bool = True
     last_dtau: float = 0.0
@@ -229,7 +204,6 @@ def ite_step(problem, state: IteState, config: IteConfig) -> IteState:
                 tau=state.tau + dtau,
                 energy=e_new,
                 dtau=min(dtau * config.dtau_grow, config.dtau_cap),
-                a_matrix=a,
                 c_vector=c,
                 accepted=True,
                 last_dtau=dtau,
@@ -242,7 +216,6 @@ def ite_step(problem, state: IteState, config: IteConfig) -> IteState:
         tau=state.tau,
         energy=state.energy,
         dtau=dtau,
-        a_matrix=a,
         c_vector=c,
         accepted=False,
         last_dtau=dtau,
@@ -317,35 +290,6 @@ def run_ite(problem, config: IteConfig = IteConfig(), init_params=None) -> IteRe
 
 
 # ---------------------------------------------------------------------------
-# full-statevector problem (small systems, tests)
-
-class CircuitProblem:
-    """Variational problem over one circuit simulated on the full register."""
-
-    def __init__(self, circuit: Circuit, h: Hamiltonian):
-        if h.num_qubits != circuit.num_qubits:
-            raise ValueError("Hamiltonian register does not match the circuit")
-        self.circuit = circuit
-        self.h = h
-
-    @property
-    def num_params(self) -> int:
-        return self.circuit.num_params
-
-    def state(self, params) -> np.ndarray:
-        amps = np.zeros(2**self.circuit.num_qubits, dtype=complex)
-        amps[0] = 1.0
-        return apply_circuit_array(amps, self.circuit, np.asarray(params, dtype=float))
-
-    def energy(self, params) -> float:
-        psi = self.state(params)
-        return float(np.real(np.vdot(psi, apply_hamiltonian(psi, self.h))))
-
-    def overlap(self, pa, pb) -> complex:
-        return complex(np.vdot(self.state(pa), self.state(pb)))
-
-
-# ---------------------------------------------------------------------------
 # tree problem with a batched finite-difference fast path
 
 def _payload_stack(payload: QuantumTensor, parts) -> np.ndarray:
@@ -410,9 +354,6 @@ class TreeProblem:
                 group[3].append(slice(at, at + circuit.num_params))
                 at += circuit.num_params
         self._groups = list(groups.values())
-        # the driver dispatches on attribute presence
-        self.overlap_fd_matrix = self._overlap_fd_matrix
-        self.energies_fd = self._energies_fd
 
     def _pass(self, params, delta) -> _Pass:
         """The contraction pass at ``params``.  Every node with parameters
@@ -422,11 +363,6 @@ class TreeProblem:
 
     def energy(self, params) -> float:
         return self._pass(params, None).term_sum().real
-
-    def overlap(self, pa, pb) -> complex:
-        return tree_overlap(
-            self.tree.with_params(pa), self.tree.with_params(pb)
-        )
 
     # -- batched finite-difference stencil ----------------------------------
 

@@ -73,13 +73,6 @@ class PauliTerm:
         object.__setattr__(self, "factors", tuple(sorted(self.factors)))
         object.__setattr__(self, "coefficient", float(self.coefficient))
 
-    @classmethod
-    def make(cls, coefficient, factors) -> "PauliTerm":
-        """Build a term from a {qubit: letter} mapping or pair iterable."""
-        if hasattr(factors, "items"):
-            factors = tuple(factors.items())
-        return cls(coefficient, tuple(factors))
-
     def factor_map(self) -> dict[int, str]:
         return dict(self.factors)
 
@@ -185,9 +178,6 @@ class SubsystemLayout:
     @property
     def num_qubits(self) -> int:
         return len(self.assignment)
-
-    def to_global(self, subsystem: int, local: int) -> int:
-        return self.inverse[(subsystem, local)]
 
 
 def _block_terms(offset: int, n: int, fields: FieldValues) -> list[PauliTerm]:

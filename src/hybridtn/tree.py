@@ -63,7 +63,6 @@ import numpy as np
 from .pauli import (
     Hamiltonian,
     LocalObs,
-    PauliTerm,
     SubsystemLayout,
     decompose_for_layout,
     parity_signs,
@@ -87,13 +86,6 @@ class ProductObservable:
     @classmethod
     def identity(cls, num_subsystems: int) -> "ProductObservable":
         return cls(((),) * num_subsystems)
-
-    @classmethod
-    def from_term(cls, term: PauliTerm, layout: SubsystemLayout) -> "ProductObservable":
-        decomposed = decompose_for_layout(
-            Hamiltonian(layout.num_qubits, (replace(term, coefficient=1.0),)), layout
-        )
-        return cls(decomposed[0][1])
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ite import (
-    CircuitProblem,
     IteConfig,
     IteState,
     TreeProblem,
@@ -47,6 +46,9 @@ from .tree import (
     EvalCounters,
     HybridTree,
     ProductObservable,
+    TreeNode,
+    _family,
+    _layout_for_sizes,
     build_two_layer_qq,
     tree_energy,
     tree_expectation,
@@ -178,6 +180,13 @@ def random_qq_tree(
     total = root.num_params + sum(b.num_params for b in branches)
     params = rng.uniform(-np.pi, np.pi, size=total)
     return build_two_layer_qq(root, branches, params)
+
+
+def one_node_tree(circuit: Circuit) -> HybridTree:
+    """The circuit on |0..0> as a tree of one quantum node."""
+    return HybridTree(
+        TreeNode(_family(circuit, 1)), _layout_for_sizes((circuit.num_qubits,))
+    )
 
 
 def tree_to_dense_spec(tree: HybridTree) -> DenseTreeSpec:
@@ -315,7 +324,7 @@ def check_tree_against_dense(seed: int = 15) -> CheckResult:
 def check_metric_gradient_analytic() -> CheckResult:
     circuit = Circuit(1, (GateOp("RX", (0,), param=0),), 1)
     h = Hamiltonian(1, (PauliTerm(1.0, ((0, "Z"),)),))
-    problem = CircuitProblem(circuit, h)
+    problem = TreeProblem(one_node_tree(circuit), h)
     delta = 1e-3
     errs = []
     a = metric_a(problem, np.array([0.3]), delta)
@@ -346,7 +355,7 @@ def check_metric_psd(seed: int = 17) -> CheckResult:
     for _ in range(5):
         circuit, params = random_circuit(rng, 2, 2)
         h = Hamiltonian(2, (PauliTerm(1.0, ((0, "Z"), (1, "Z"))),))
-        problem = CircuitProblem(circuit, h)
+        problem = TreeProblem(one_node_tree(circuit), h)
         a = metric_a(problem, params, 1e-3)
         sym = float(np.max(np.abs(a - a.T)))
         min_eig = float(np.linalg.eigvalsh(a).min())
@@ -410,7 +419,7 @@ def check_descent(seed: int = 21) -> CheckResult:
     h, _ = build_1d_cluster(2, 2, lam=1.0, seed=5)
     problem = TreeProblem(tree, h)
     # reg 1e-2 as in the acceptance configs: at 1e-6 any rounding moves the path
-    config = IteConfig(max_iters=15, conv_window=10**9, reg=1e-2)
+    config = IteConfig(max_iters=15, conv_window=10**9, reg=1e-2, seed=seed)
     result = run_ite(problem, config)
     energies = [r.energy for r in result.trajectory if r.accepted]
     drops = [b - a for a, b in zip(energies, energies[1:])]

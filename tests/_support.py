@@ -3,11 +3,18 @@ product MPS, and parsers for the formats the package writes."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from hybridtn.pauli import Hamiltonian, PauliTerm, SubsystemLayout
-from hybridtn.statevector import Circuit, GateOp, StateVector, apply_pauli_array
+from hybridtn.pauli import Hamiltonian, PauliTerm, SubsystemLayout, decompose_for_layout
+from hybridtn.statevector import (
+    Circuit,
+    GateOp,
+    StateVector,
+    apply_circuit_array,
+    apply_pauli_array,
+)
 from hybridtn.tensors import (
     ClassicalTensor,
     MpsTensor,
@@ -15,6 +22,47 @@ from hybridtn.tensors import (
     _direct_matrix,
     mps_general_expectation,
 )
+from hybridtn.tree import ProductObservable
+
+
+# ---------------------------------------------------------------------------
+# the pointwise flow stencil
+
+class PointwiseStencil:
+    """The flow's two stencil methods from ``energy`` and ``overlap`` alone.
+
+    Every stencil point is its own evaluation: p (p + 1) / 2 + p + 1
+    overlaps for the metric and p + 1 energies for the gradient.  A class
+    with ``num_params``, ``energy(params)`` and ``overlap(pa, pb)`` that
+    mixes this in can be handed to :func:`hybridtn.ite.metric_a`,
+    :func:`hybridtn.ite.gradient_c` and :func:`hybridtn.ite.run_ite`; it is
+    the reference the batched stencil of :class:`hybridtn.ite.TreeProblem`
+    is tested against.
+    """
+
+    def _overlap_fd_matrix(self, params, delta):
+        p = self.num_params
+        shifted = [params.copy() for _ in range(p)]
+        for i in range(p):
+            shifted[i][i] += delta
+        s_mat = np.empty((p, p), dtype=complex)
+        for i in range(p):
+            for j in range(i, p):
+                val = self.overlap(shifted[i], shifted[j])
+                s_mat[i, j] = val
+                s_mat[j, i] = np.conj(val)
+        s_vec = np.array([self.overlap(params, sh) for sh in shifted])
+        n0 = self.overlap(params, params)
+        return s_mat, s_vec, n0
+
+    def _energies_fd(self, params, delta):
+        e0 = self.energy(params)
+        evec = np.empty(self.num_params)
+        for i in range(self.num_params):
+            shifted = params.copy()
+            shifted[i] += delta
+            evec[i] = self.energy(shifted)
+        return e0, evec
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +145,13 @@ def init_basis_state(num_qubits: int, bits: str) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
+def circuit_state(circuit: Circuit, params) -> np.ndarray:
+    """Amplitudes of the circuit applied to |0..0> on the full register."""
+    amps = np.zeros(2**circuit.num_qubits, dtype=complex)
+    amps[0] = 1.0
+    return apply_circuit_array(amps, circuit, np.asarray(params, dtype=float))
+
+
 def circuit_from_json(text: str) -> Circuit:
     doc = json.loads(text)
     ops = tuple(
@@ -114,6 +169,26 @@ def circuit_from_json(text: str) -> Circuit:
 # ---------------------------------------------------------------------------
 # Hamiltonians
 
+def pauli_term(coefficient, factors) -> PauliTerm:
+    """Build a term from a {qubit: letter} mapping or pair iterable."""
+    if hasattr(factors, "items"):
+        factors = tuple(factors.items())
+    return PauliTerm(coefficient, tuple(factors))
+
+
+def to_global(layout: SubsystemLayout, subsystem: int, local: int) -> int:
+    """Global qubit of local qubit ``local`` in subsystem ``subsystem``."""
+    return layout.inverse[(subsystem, local)]
+
+
+def product_observable(term: PauliTerm, layout: SubsystemLayout) -> ProductObservable:
+    """The term's Pauli factors per subsystem, coefficient dropped."""
+    decomposed = decompose_for_layout(
+        Hamiltonian(layout.num_qubits, (replace(term, coefficient=1.0),)), layout
+    )
+    return ProductObservable(decomposed[0][1])
+
+
 def recompose_for_layout(
     decomposed, layout: SubsystemLayout, num_qubits: int
 ) -> Hamiltonian:
@@ -123,7 +198,7 @@ def recompose_for_layout(
         pairs = []
         for s, local_obs in enumerate(factors):
             for r, letter in local_obs:
-                pairs.append((layout.to_global(s, r), letter))
+                pairs.append((to_global(layout, s, r), letter))
         terms.append(PauliTerm(coeff, tuple(pairs)))
     return Hamiltonian(num_qubits, tuple(terms))
 

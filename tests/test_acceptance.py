@@ -13,8 +13,8 @@ import scipy.linalg
 
 from hybridtn.cli import build_model, build_tree, config_from_dict, main
 from hybridtn.ite import (
-    CircuitProblem,
     IteConfig,
+    TreeProblem,
     gradient_c,
     metric_a,
     run_ite_tree,
@@ -31,10 +31,13 @@ from hybridtn.tensors import (
 from hybridtn.tree import EvalCounters, ProductObservable, tree_energy, tree_expectation
 from hybridtn.verify import (
     _strategy_instances,
+    one_node_tree,
     random_case_instance,
     random_circuit,
     random_qq_tree,
 )
+
+from _support import circuit_state
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -184,14 +187,15 @@ def test_07_flow_stencils_match_dense_calculus():
                 PauliTerm(0.4, ((1, "Y"),)),
             ),
         )
-        problem = CircuitProblem(circuit, h)
+        problem = TreeProblem(one_node_tree(circuit), h)
         step = 1e-6
         tangents, grad = [], np.empty(problem.num_params)
         for i in range(problem.num_params):
             up, down = params.copy(), params.copy()
             up[i] += step
             down[i] -= step
-            tangents.append((problem.state(up) - problem.state(down)) / (2 * step))
+            diff = circuit_state(circuit, up) - circuit_state(circuit, down)
+            tangents.append(diff / (2 * step))
             grad[i] = (problem.energy(up) - problem.energy(down)) / (2 * step)
         tangents = np.array(tangents)
         gram = (tangents.conj() @ tangents.T).real
@@ -203,8 +207,8 @@ def test_07_flow_stencils_match_dense_calculus():
             float(np.abs(2.0 * gradient_c(problem, params, delta) - grad).max()),
         )
 
-    rx = CircuitProblem(
-        Circuit(1, (GateOp("RX", (0,), param=0),), 1),
+    rx = TreeProblem(
+        one_node_tree(Circuit(1, (GateOp("RX", (0,), param=0),), 1)),
         Hamiltonian(1, (PauliTerm(1.0, ((0, "Z"),)),)),
     )
     a_err = abs(metric_a(rx, np.array([0.3]), delta)[0, 0] - 0.25)

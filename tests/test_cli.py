@@ -574,6 +574,11 @@ def test_descent_check_figure_is_stable_under_a_tiny_start_shift(monkeypatch):
     assert check_descent().detail == before
 
 
+def test_descent_check_runs_the_instance_its_seed_draws():
+    # the seed picks the tree and its starting point, so the figure moves
+    assert check_descent(seed=21).detail != check_descent(seed=22).detail
+
+
 def test_verify_verb_rejects_negative_shots(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--shots", "-5"])

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from hybridtn import ite
 from hybridtn.ite import (
-    CircuitProblem,
     IteConfig,
     IteState,
     TreeProblem,
@@ -62,9 +61,9 @@ from hybridtn.tree import (
     tree_energy,
     tree_overlap,
 )
-from hybridtn.verify import random_circuit, random_qq_tree, tree_to_dense_spec
+from hybridtn.verify import one_node_tree, random_circuit, random_qq_tree, tree_to_dense_spec
 
-from _support import circuit_from_json, random_mps
+from _support import PointwiseStencil, circuit_from_json, circuit_state, random_mps
 from test_statevector import dense_circuit
 
 
@@ -96,15 +95,16 @@ def crossing_hamiltonian() -> Hamiltonian:
     return Hamiltonian(4, tuple(terms))
 
 
-def tangent_gram(problem, params, step=1e-6) -> np.ndarray:
+def tangent_gram(circuit, params, step=1e-6) -> np.ndarray:
     """Re <d_i psi|d_j psi> from centered differences of the full state."""
     rows = []
-    for i in range(problem.num_params):
+    for i in range(circuit.num_params):
         up = params.copy()
         up[i] += step
         down = params.copy()
         down[i] -= step
-        rows.append((problem.state(up) - problem.state(down)) / (2 * step))
+        diff = circuit_state(circuit, up) - circuit_state(circuit, down)
+        rows.append(diff / (2 * step))
     tangents = np.array(rows)
     return (tangents.conj() @ tangents.T).real
 
@@ -144,16 +144,16 @@ def test_metric_matches_tangent_overlaps():
     for seed, n in ((14, 2), (15, 2), (16, 3)):
         rng = np.random.default_rng(seed)
         circuit, params = random_circuit(rng, n, 2)
-        problem = CircuitProblem(circuit, trivial_hamiltonian(n))
+        problem = TreeProblem(one_node_tree(circuit), trivial_hamiltonian(n))
         a = metric_a(problem, params, 1e-3)
-        assert np.allclose(a, tangent_gram(problem, params), atol=1e-5)
+        assert np.allclose(a, tangent_gram(circuit, params), atol=1e-5)
         assert np.allclose(a, a.T)
 
 
 def test_metric_diagonal_closed_form():
     rng = np.random.default_rng(14)
     circuit, params = random_circuit(rng, 2, 2)
-    problem = CircuitProblem(circuit, trivial_hamiltonian(2))
+    problem = TreeProblem(one_node_tree(circuit), trivial_hamiltonian(2))
     for delta in (0.05, 1e-3):
         a = metric_a(problem, params, delta)
         assert np.allclose(
@@ -164,8 +164,8 @@ def test_metric_diagonal_closed_form():
 def test_metric_error_quarters_when_delta_halves():
     rng = np.random.default_rng(14)
     circuit, params = random_circuit(rng, 2, 2)
-    problem = CircuitProblem(circuit, trivial_hamiltonian(2))
-    reference = tangent_gram(problem, params)
+    problem = TreeProblem(one_node_tree(circuit), trivial_hamiltonian(2))
+    reference = tangent_gram(circuit, params)
     err_coarse = np.linalg.norm(metric_a(problem, params, 1e-3) - reference)
     err_fine = np.linalg.norm(metric_a(problem, params, 5e-4) - reference)
     assert err_coarse > 1e-8  # the stencil bias must be resolvable at all
@@ -179,7 +179,7 @@ def test_metric_positive_semidefinite(seed):
     circuit, params = random_circuit(rng, n, int(rng.integers(1, 3)))
     if circuit.num_params == 0:
         return
-    problem = CircuitProblem(circuit, trivial_hamiltonian(n))
+    problem = TreeProblem(one_node_tree(circuit), trivial_hamiltonian(n))
     a = metric_a(problem, params, 1e-3)
     assert np.linalg.eigvalsh(a).min() >= -1e-8
 
@@ -188,7 +188,7 @@ def test_gradient_matches_energy_derivative():
     for seed in (14, 15, 16):
         rng = np.random.default_rng(seed)
         circuit, params = random_circuit(rng, 2, 2)
-        problem = CircuitProblem(circuit, rich_hamiltonian())
+        problem = TreeProblem(one_node_tree(circuit), rich_hamiltonian())
         got = gradient_c(problem, params, 1e-5)
         assert np.allclose(got, centered_half_gradient(problem, params), atol=1e-4)
 
@@ -196,7 +196,7 @@ def test_gradient_matches_energy_derivative():
 def test_gradient_error_halves_when_delta_halves():
     rng = np.random.default_rng(14)
     circuit, params = random_circuit(rng, 2, 2)
-    problem = CircuitProblem(circuit, rich_hamiltonian())
+    problem = TreeProblem(one_node_tree(circuit), rich_hamiltonian())
     reference = centered_half_gradient(problem, params)
     err_coarse = np.abs(gradient_c(problem, params, 1e-3) - reference).max()
     err_fine = np.abs(gradient_c(problem, params, 5e-4) - reference).max()
@@ -208,7 +208,7 @@ def test_single_rotation_analytics():
     # RX(theta)|0> under H = Z: energy cos(theta), metric 1/4, half-gradient
     # -sin(theta)/2, so the flow direction at theta = pi/2 is exactly 2.
     circuit = Circuit(1, (GateOp("RX", (0,), param=0),), 1)
-    problem = CircuitProblem(circuit, trivial_hamiltonian(1))
+    problem = TreeProblem(one_node_tree(circuit), trivial_hamiltonian(1))
     theta = np.array([0.3])
     assert problem.energy(theta) == pytest.approx(np.cos(0.3), abs=1e-12)
     assert metric_a(problem, theta, 1e-3)[0, 0] == pytest.approx(0.25, abs=1e-6)
@@ -234,7 +234,7 @@ def test_single_rotation_analytics():
 
 def test_gradient_vanishes_at_energy_minimum():
     circuit = Circuit(1, (GateOp("RX", (0,), param=0),), 1)
-    problem = CircuitProblem(circuit, trivial_hamiltonian(1))
+    problem = TreeProblem(one_node_tree(circuit), trivial_hamiltonian(1))
     c = gradient_c(problem, np.array([np.pi]), 1e-3)
     assert abs(c[0]) <= 1e-3
 
@@ -245,7 +245,7 @@ def test_disjoint_rotations_give_diagonal_metric():
     circuit = Circuit(
         2, (GateOp("RX", (0,), param=0), GateOp("RX", (1,), param=1)), 2
     )
-    problem = CircuitProblem(circuit, trivial_hamiltonian(2))
+    problem = TreeProblem(one_node_tree(circuit), trivial_hamiltonian(2))
     a = metric_a(problem, np.array([0.7, -1.1]), 1e-4)
     assert a[0, 0] == pytest.approx(0.25, abs=1e-6)
     assert a[1, 1] == pytest.approx(0.25, abs=1e-6)
@@ -256,7 +256,7 @@ def test_disjoint_rotations_give_diagonal_metric():
 # ---------------------------------------------------------------------------
 # step control and the flow driver
 
-class _KinkProblem:
+class _KinkProblem(PointwiseStencil):
     """One parameter, energy |theta|: no downhill move exists from zero."""
 
     num_params = 1
@@ -280,7 +280,7 @@ def test_step_rejects_when_no_move_lowers_energy():
     # every retry halves the step: max_retries + 1 attempts leave 0.05 / 2**9
     assert stepped.dtau == pytest.approx(0.05 * 0.5**9, rel=1e-12)
     assert stepped.c_vector[0] == pytest.approx(0.5, abs=1e-12)
-    assert stepped.a_matrix[0, 0] == pytest.approx(1.0, abs=1e-6)
+    assert metric_a(problem, state.params, config.delta)[0, 0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_run_stays_pinned_at_kink():
@@ -296,7 +296,7 @@ def test_run_stays_pinned_at_kink():
     assert all(b <= a + 1e-9 for a, b in zip(accepted, accepted[1:]))
 
 
-class _NanOverlapProblem:
+class _NanOverlapProblem(PointwiseStencil):
     """Finite energies, but every overlap is NaN: the metric turns NaN."""
 
     num_params = 2
@@ -308,7 +308,7 @@ class _NanOverlapProblem:
         return complex(np.nan)
 
 
-class _NanCandidateProblem:
+class _NanCandidateProblem(PointwiseStencil):
     """A unit metric and a finite stencil, but NaN at every candidate step."""
 
     num_params = 2
@@ -323,7 +323,7 @@ class _NanCandidateProblem:
     def overlap(self, pa, pb):
         return complex(1.0 + np.dot(pa, pb))
 
-    def energies_fd(self, params, delta):
+    def _energies_fd(self, params, delta):
         return 1.0, np.full(self.num_params, 1.0 + delta)
 
 
@@ -363,7 +363,7 @@ def test_run_reaches_known_two_qubit_ground_energy():
             PauliTerm(0.5, ((1, "X"),)),
         ),
     )
-    problem = CircuitProblem(build_hardware_efficient_ansatz(2, 2), h)
+    problem = TreeProblem(one_node_tree(build_hardware_efficient_ansatz(2, 2)), h)
     result = run_ite(problem, IteConfig(reg=1e-2, seed=3, max_iters=500))
     assert result.converged
     assert result.energy == pytest.approx(-np.sqrt(2.0), abs=1e-5)
@@ -404,16 +404,16 @@ def test_run_is_deterministic_for_equal_inputs():
 
 
 def test_run_rejects_wrong_initial_vector_length():
-    problem = CircuitProblem(
-        build_hardware_efficient_ansatz(2, 1), trivial_hamiltonian(2)
+    problem = TreeProblem(
+        one_node_tree(build_hardware_efficient_ansatz(2, 1)), trivial_hamiltonian(2)
     )
     with pytest.raises(ValueError, match="length mismatch"):
         run_ite(problem, IteConfig(max_iters=1), init_params=np.zeros(3))
 
 
 def test_run_rejects_non_finite_initial_parameters():
-    problem = CircuitProblem(
-        build_hardware_efficient_ansatz(2, 1), trivial_hamiltonian(2)
+    problem = TreeProblem(
+        one_node_tree(build_hardware_efficient_ansatz(2, 1)), trivial_hamiltonian(2)
     )
     start = np.full(problem.num_params, 0.1)
     start[1] = np.inf
@@ -427,14 +427,15 @@ def test_overflowing_gradient_norm_finishes_the_step_without_a_warning():
     h = Hamiltonian(1, (PauliTerm(1e307, ((0, "Z"),)),))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = run_ite(CircuitProblem(circuit, h), IteConfig(max_iters=1))
+        result = run_ite(TreeProblem(one_node_tree(circuit), h), IteConfig(max_iters=1))
     assert result.iterations == 1 and result.stop_reason == "max_iters"
     assert result.trajectory[1].grad_norm == np.inf
 
 
-def test_circuit_problem_rejects_register_mismatch():
+def test_tree_problem_rejects_register_mismatch():
+    tree = one_node_tree(build_hardware_efficient_ansatz(2, 1))
     with pytest.raises(ValueError, match="does not match"):
-        CircuitProblem(build_hardware_efficient_ansatz(2, 1), trivial_hamiltonian(3))
+        TreeProblem(tree, trivial_hamiltonian(3))
 
 
 def test_config_rejects_bad_values_and_keeps_defaults():
@@ -557,12 +558,18 @@ def _with_distinct_branch(tree, circuits, params):
     return replace(tree, root=TreeNode(tree.root.payload, children))
 
 
+class _PointwiseTreeProblem(PointwiseStencil, TreeProblem):
+    """A tree problem whose stencil takes one tree contraction per point."""
+
+    def overlap(self, pa, pb) -> complex:
+        return tree_overlap(
+            self.tree.with_params(pa), self.tree.with_params(pb)
+        )
+
+
 def _assert_routes_agree(tree, h):
     fast = TreeProblem(tree, h)
-    generic = TreeProblem(tree, h)
-    del generic.overlap_fd_matrix
-    del generic.energies_fd
-    assert not hasattr(generic, "overlap_fd_matrix")
+    generic = _PointwiseTreeProblem(tree, h)
     params = tree.flat_params()
     assert np.allclose(
         metric_a(fast, params, 1e-3), metric_a(generic, params, 1e-3), atol=1e-7
@@ -572,22 +579,13 @@ def _assert_routes_agree(tree, h):
     )
 
 
-def test_fast_stencil_only_for_exact_direct_evaluation():
-    # every tree shape gets the stencil
-    h = crossing_hamiltonian()
-    for kind in TREE_KINDS:
-        tree = _stencil_tree(kind)
-        assert hasattr(TreeProblem(tree, h), "overlap_fd_matrix")
-        assert hasattr(TreeProblem(tree, h), "energies_fd")
-
-
 def test_fast_stencil_overlaps_match_pointwise_tree_overlaps():
     for kind in TREE_KINDS:
         tree = _stencil_tree(kind)
         problem = TreeProblem(tree, crossing_hamiltonian())
         params = tree.flat_params()
         delta = 1e-3
-        s_mat, s_vec, n0 = problem.overlap_fd_matrix(params, delta)
+        s_mat, s_vec, n0 = problem._overlap_fd_matrix(params, delta)
 
         base = tree.with_params(params)
         shifted = []
@@ -616,7 +614,7 @@ def test_fast_stencil_energies_match_pointwise_tree_energies():
         problem = TreeProblem(tree, h)
         params = tree.flat_params()
         delta = 1e-3
-        e0, evec = problem.energies_fd(params, delta)
+        e0, evec = problem._energies_fd(params, delta)
         assert e0 == pytest.approx(
             tree_energy(tree.with_params(params), h), abs=1e-10
         )
@@ -726,7 +724,7 @@ def test_fast_stencil_energies_match_dense_oracle_states(kind):
         tree, h = _stencil_tree(kind), crossing_hamiltonian()
     h_mat = hamiltonian_matrix(h)
     params, delta = tree.flat_params(), 1e-3
-    e0, evec = TreeProblem(tree, h).energies_fd(params, delta)
+    e0, evec = TreeProblem(tree, h)._energies_fd(params, delta)
     psi = _oracle_tree_state(tree)
     assert e0 == pytest.approx(np.vdot(psi, h_mat @ psi).real, abs=1e-10)
     for q in range(tree.num_params):

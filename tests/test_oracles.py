@@ -30,7 +30,7 @@ from hybridtn.statevector import Circuit
 from hybridtn.tensors import QuantumTensor
 from hybridtn.verify import random_qq_tree, tree_to_dense_spec
 
-from _support import mps_from_product
+from _support import mps_from_product, pauli_term
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -70,7 +70,7 @@ def pauli_hamiltonians(draw, max_qubits=6):
     words.append("I" * n)
     coeffs = st.floats(-2.0, 2.0, allow_nan=False)
     terms = tuple(
-        PauliTerm.make(draw(coeffs), {q: c for q, c in enumerate(w) if c != "I"})
+        pauli_term(draw(coeffs), {q: c for q, c in enumerate(w) if c != "I"})
         for w in words
     )
     return Hamiltonian(n, terms)
@@ -266,7 +266,7 @@ def test_paired_y_factors_compile_to_real_phases():
 )
 def test_real_and_complex_lanczos_routes_match_the_dense_reference(extra, real):
     web, _ = build_2d_web(3, 3, lam=1.0, seed=5)  # 9 qubits: X, Z and ZZ terms
-    terms = tuple(PauliTerm.make(0.3, word) for word in extra)
+    terms = tuple(pauli_term(0.3, word) for word in extra)
     h = Hamiltonian(web.num_qubits, web.terms + terms)
     want = np.linalg.eigh(hamiltonian_matrix(h))[0][0]
     e0, vec = _lanczos_ground(h, seed=7)
@@ -317,7 +317,7 @@ def test_lanczos_cycle_does_not_stop_on_a_plateau(monkeypatch):
 
 
 def _with_terms(h: Hamiltonian, words) -> Hamiltonian:
-    extra = tuple(PauliTerm.make(0.3, word) for word in words)
+    extra = tuple(pauli_term(0.3, word) for word in words)
     return Hamiltonian(h.num_qubits, h.terms + extra)
 
 

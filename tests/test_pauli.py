@@ -16,7 +16,7 @@ from hybridtn.pauli import (
 )
 from hybridtn.rng import SplitMix64
 
-from _support import hamiltonian_from_text, recompose_for_layout
+from _support import hamiltonian_from_text, recompose_for_layout, to_global
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +114,9 @@ def test_block_major_layout():
     layout = SubsystemLayout.block_major(3, 2)
     assert layout.num_subsystems == 3
     assert layout.num_qubits == 6
-    assert layout.to_global(0, 0) == 0
-    assert layout.to_global(1, 0) == 2
-    assert layout.to_global(2, 1) == 5
+    assert to_global(layout, 0, 0) == 0
+    assert to_global(layout, 1, 0) == 2
+    assert to_global(layout, 2, 1) == 5
 
 
 def test_decompose_recompose_round_trip():

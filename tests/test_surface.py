@@ -1,13 +1,21 @@
 """The package surface: every export resolves, and no definition is dead.
 
-A module-level def, class or constant in ``src/hybridtn`` must be used as
-a name (not in a docstring or comment) somewhere in the package,
-``scripts/`` or ``perfbench/``, outside its own definition.  Re-exports in
-``__init__`` do not count as a use, and nor do the tests: a helper that
-only the tests call belongs in ``tests/_support.py``.
+A module-level def, class or constant in ``src/hybridtn``, and a method
+defined in the body of a module-level class (dunders excluded), must be
+used as a name (not in a docstring or comment) somewhere in the package,
+``scripts/`` or ``perfbench/``, outside its own definition; a method's
+use is any use of its bare name.  Re-exports in ``__init__`` do not count
+as a use, and nor do the tests: a helper that only the tests call belongs
+in ``tests/_support.py``.
+
+The benchmark's tracer wraps package functions by module and attribute
+path, and a target that no longer resolves silently reads 0, so every
+one of its targets must resolve, bar a known list that may only shrink.
 """
 
 import ast
+import importlib
+import importlib.util
 import io
 import tokenize
 from pathlib import Path
@@ -17,6 +25,7 @@ import hybridtn
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hybridtn"
 INIT = PACKAGE / "__init__.py"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 # name -> why it stays although nothing outside the tests uses it
 KEEP = {
@@ -25,16 +34,37 @@ KEEP = {
 }
 
 
+# tracer targets ("module.attribute path") that the package no longer has
+MISSING_TRACER_TARGETS = {
+    "hybridtn.statevector.apply_op_array",
+    "hybridtn.ite.apply_op_array",
+    "hybridtn.ite._apply_1q",
+    "hybridtn.ite._FdWorkspace.__init__",
+    "hybridtn.ite.tree_energy",
+}
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def _definitions(path: Path):
-    """(name, first line, last line) of each module-level definition."""
+    """(label, name, first line, last line) of each module-level definition
+    and of each method in a module-level class body, dunders excluded; a
+    method's label is ``Class.method``."""
     for node in ast.parse(path.read_text()).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+            yield node.name, node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, FUNCTIONS) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    label = f"{node.name}.{item.name}"
+                    yield label, item.name, item.lineno, item.end_lineno
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 if isinstance(target, ast.Name):
-                    yield target.id, node.lineno, node.end_lineno
+                    yield target.id, target.id, node.lineno, node.end_lineno
 
 
 def _name_uses() -> dict[str, list[tuple[Path, int]]]:
@@ -51,16 +81,16 @@ def _name_uses() -> dict[str, list[tuple[Path, int]]]:
 
 
 def _unused() -> dict[str, str]:
-    """name -> ``module:line`` of each definition with no use outside itself."""
+    """label -> ``module:line`` of each definition with no use outside itself."""
     uses = _name_uses()
     unused = {}
     for path in sorted(PACKAGE.glob("*.py")):
         if path == INIT:
             continue
-        for name, first, last in _definitions(path):
+        for label, name, first, last in _definitions(path):
             if all(where == path and first <= line <= last
                    for where, line in uses.get(name, ())):
-                unused[name] = f"{path.name}:{first}"
+                unused[label] = f"{path.name}:{first}"
     return unused
 
 
@@ -73,3 +103,19 @@ def test_only_the_kept_definitions_lack_a_use_outside_the_tests():
     # a kept name that is gone, or that has gained a use, leaves KEEP
     unused = _unused()
     assert set(unused) == set(KEEP), unused
+
+
+def test_every_benchmark_tracer_target_resolves():
+    # load the tracer as a file: perfbench is not a package
+    spec = importlib.util.spec_from_file_location("_bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = set()
+    for _, module_name, path in tracer.TARGETS:
+        owner = importlib.import_module(module_name)
+        for part in path.split("."):
+            owner = None if owner is None else getattr(owner, part, None)
+        if owner is None:
+            missing.add(f"{module_name}.{path}")
+    # a target that starts to resolve leaves the list
+    assert missing == MISSING_TRACER_TARGETS

@@ -37,7 +37,7 @@ from hybridtn.tree import (
 )
 from hybridtn.verify import random_qq_tree, tree_to_dense_spec
 
-from _support import random_mps
+from _support import product_observable, random_mps
 
 
 def global_term(rng: np.random.Generator, num_qubits: int) -> PauliTerm:
@@ -56,7 +56,7 @@ def test_expectation_matches_dense_state():
         tree = random_qq_tree(rng, 2, 2)
         psi = dense_tree_state(tree_to_dense_spec(tree))
         term = global_term(rng, 4)
-        obs = ProductObservable.from_term(term, tree.layout)
+        obs = product_observable(term, tree.layout)
         got = tree_expectation(tree, obs)
         # the observable is the bare Pauli string; coefficients live in terms
         want = np.real(
