@@ -87,7 +87,6 @@ class ExperimentConfig:
     d_u: int
     d_v: int
     ite: IteConfig
-    shots: int
     out: str | None
 
     @property
@@ -168,7 +167,6 @@ _TOP_KEYS = (
     "d_U",
     "d_V",
     "ite",
-    "shots",
     "seed",
     "out",
 )
@@ -204,12 +202,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     fields = _parse_fields(_require_mapping(data.get("fields", {}), "fields"))
     d_u = _as_int(data.get("d_U", 8), "d_U", minimum=1)
     d_v = _as_int(data.get("d_V", 4), "d_V", minimum=1)
-    shots = _as_int(data.get("shots", 0), "shots", minimum=0)
-    if shots > 0:
-        raise ConfigError(
-            f"shots must be 0, got {shots}: runs evaluate with the exact "
-            "direct strategy, which takes no samples"
-        )
     seed = _as_int(data.get("seed", 0), "seed", minimum=0)
 
     ite_overrides = _parse_ite(_require_mapping(data.get("ite", {}), "ite"))
@@ -231,7 +223,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         d_u=d_u,
         d_v=d_v,
         ite=ite,
-        shots=shots,
         out=out,
     )
 
@@ -284,7 +275,6 @@ def effective_config_dict(config: ExperimentConfig, lam) -> dict:
         "d_U": config.d_u,
         "d_V": config.d_v,
         "ite": {f.name: getattr(config.ite, f.name) for f in _ITE_FIELDS},
-        "shots": config.shots,
         "seed": config.seed,
         "out": config.out,
     }

@@ -321,8 +321,6 @@ class TreeProblem:
     """
 
     def __init__(self, tree: HybridTree, h: Hamiltonian):
-        if h.num_qubits != tree.layout.num_qubits:
-            raise ValueError("Hamiltonian register does not match the tree layout")
         self.tree = tree
         self.h = h
         self.num_params = tree.num_params

@@ -16,15 +16,15 @@ and couples vertically adjacent spins of neighbouring rows, again with
 uniform random strengths f_{j,i}.  All random draws come from a
 :class:`~hybridtn.rng.SplitMix64` stream so a seed pins the model exactly.
 
-Qubits are numbered globally; a :class:`SubsystemLayout` records how they
-split into blocks so that operators can be decomposed into per-block
-factors for tree evaluation.
+Qubits are numbered globally; a :class:`SubsystemLayout` splits them into
+consecutive blocks (a tree derives its layout from its nodes), so that
+operators can be decomposed into per-block factors for tree evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,44 +140,29 @@ class Hamiltonian:
 
 @dataclass(frozen=True)
 class SubsystemLayout:
-    """Assignment of global qubits to (subsystem, local qubit) pairs.
+    """Consecutive blocks of global qubits.
 
-    ``assignment[q] == (s, r)`` says global qubit q is local qubit r of
-    subsystem s.  The map must be a bijection onto {0..k-1} x {0..n_s-1}.
+    Block s holds the next ``subsystem_sizes[s]`` global qubits, in order:
+    global qubit q is local qubit r of block s when q is the r-th qubit
+    after the first s blocks.
     """
 
-    num_subsystems: int
     subsystem_sizes: tuple[int, ...]
-    assignment: tuple[tuple[int, int], ...]
-    inverse: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if len(self.subsystem_sizes) != self.num_subsystems:
-            raise ValueError("subsystem_sizes length mismatch")
-        expected = {
-            (s, r)
-            for s, size in enumerate(self.subsystem_sizes)
-            for r in range(size)
-        }
-        got = set(self.assignment)
-        if len(self.assignment) != len(got) or got != expected:
-            raise ValueError("assignment is not a bijection onto subsystem slots")
-        object.__setattr__(
-            self, "inverse", {sr: q for q, sr in enumerate(self.assignment)}
-        )
-
-    @classmethod
-    def block_major(cls, num_subsystems: int, block_size: int) -> "SubsystemLayout":
-        """k blocks of equal size, global qubit q -> (q // n, q % n)."""
-        assignment = tuple(
-            (q // block_size, q % block_size)
-            for q in range(num_subsystems * block_size)
-        )
-        return cls(num_subsystems, (block_size,) * num_subsystems, assignment)
+    @property
+    def num_subsystems(self) -> int:
+        return len(self.subsystem_sizes)
 
     @property
     def num_qubits(self) -> int:
-        return len(self.assignment)
+        return sum(self.subsystem_sizes)
+
+    @property
+    def assignment(self) -> tuple[tuple[int, int], ...]:
+        """(block, local qubit) of every global qubit."""
+        return tuple(
+            (s, r) for s, size in enumerate(self.subsystem_sizes) for r in range(size)
+        )
 
 
 def _block_terms(offset: int, n: int, fields: FieldValues) -> list[PauliTerm]:
@@ -201,7 +186,7 @@ def _coupled_blocks(
         raise ValueError("n and k must be positive")
     terms = [t for j in range(k) for t in _block_terms(j * n, n, fields)]
     terms += [PauliTerm(s, ((a, "Z"), (b, "Z"))) for a, b, s in bonds]
-    return Hamiltonian(n * k, tuple(terms)), SubsystemLayout.block_major(k, n)
+    return Hamiltonian(n * k, tuple(terms)), SubsystemLayout((n,) * k)
 
 
 def build_1d_cluster(
@@ -265,14 +250,18 @@ def decompose_for_layout(
     input term list.
     """
     if layout.num_qubits != h.num_qubits:
-        raise ValueError("layout does not cover the Hamiltonian register")
+        raise ValueError(
+            f"Hamiltonian register of {h.num_qubits} qubits does not match "
+            f"the layout's {layout.num_qubits}"
+        )
+    assignment = layout.assignment
     out = []
     for term in h.terms:
         per_sub: list[list[tuple[int, str]]] = [
             [] for _ in range(layout.num_subsystems)
         ]
         for qubit, letter in term.factors:
-            s, r = layout.assignment[qubit]
+            s, r = assignment[qubit]
             per_sub[s].append((r, letter))
         factors = tuple(tuple(sorted(fs)) for fs in per_sub)
         out.append((term.coefficient, factors))

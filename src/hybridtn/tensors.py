@@ -177,13 +177,6 @@ class QuantumTensor:
             at += circuit.num_params
         return replace(self, params=tuple(vecs))
 
-    def flat_params(self) -> np.ndarray:
-        return (
-            np.concatenate(self.params)
-            if self.params
-            else np.zeros(0)
-        )
-
     def group_qubits(self, label: str) -> tuple[int, ...]:
         if label == "open":
             return (self.open_qubit,)

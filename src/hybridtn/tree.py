@@ -2,11 +2,13 @@
 
 A tree is a rooted hierarchy of tensors.  Child nodes hang off a parent
 index (a qubit of a quantum parent, a site of an MPS parent); each child
-exposes a binary branch index upward.  A tree stores only its payloads,
-attach points and subsystem layout: the root is pre-order node 0, the
-depth and degree follow from the children, and the contraction case of
-each edge is read off the payload types of the two nodes it joins.  The
-three two-layer variants are
+exposes a binary branch index upward.  A tree stores only its payloads
+and attach points: the root is pre-order node 0, the depth and degree
+follow from the children, and the contraction case of each edge is read
+off the payload types of the two nodes it joins.  A node's *physical*
+qubits (or MPS sites) are those no child attaches to; in pre-order, each
+node that has any is one subsystem of the tree's layout, sized by their
+count.  The three two-layer variants are
 
 * ``qq``  quantum root V on k qubits, quantum branches U_s prepared from
           |0..0> and |1..1> (case 4: quantum parent, quantum child) --
@@ -100,10 +102,46 @@ class TreeNode:
     children: tuple[ChildLink, ...] = ()
 
 
+def _physical(node: TreeNode, root: bool) -> tuple[int, ...]:
+    """The node's physical qubits or sites: those no child attaches to.
+
+    A branch MPS's site 0 is its upward leg, neither physical nor an
+    attach point.  Each child needs its own qubit or site of the node.
+    """
+    payload = node.payload
+    if isinstance(payload, QuantumTensor):
+        first, size = 0, payload.num_qubits
+    else:
+        first, size = (0 if root else 1), payload.num_sites
+    attach = [link.attach for link in node.children]
+    if len(set(attach)) != len(attach):
+        raise ValueError(f"two children share an attach point: {attach}")
+    for point in attach:
+        if not first <= point < size:
+            raise ValueError(
+                f"attach point {point} is not one of the node's {first}..{size - 1}"
+            )
+    return tuple(p for p in range(first, size) if p not in attach)
+
+
+def _shape(node: TreeNode) -> tuple:
+    """A node's payload type and size and its children's attach points."""
+    payload = node.payload
+    quantum = isinstance(payload, QuantumTensor)
+    size = payload.num_qubits if quantum else payload.num_sites
+    return type(payload), size, tuple(link.attach for link in node.children)
+
+
 @dataclass(frozen=True)
 class HybridTree:
     root: TreeNode
-    layout: SubsystemLayout
+
+    @property
+    def layout(self) -> SubsystemLayout:
+        """One subsystem per node with physical qubits or sites, in pre-order."""
+        nodes = enumerate(_preorder(self.root))
+        sizes = (len(_physical(node, i == 0)) for i, node in nodes)
+        return SubsystemLayout(tuple(size for size in sizes if size))
 
     def param_slices(self) -> tuple[tuple[int, int, int], ...]:
         """(pre-order node index, start, stop) per quantum payload."""
@@ -137,14 +175,6 @@ class HybridTree:
             return TreeNode(payload, children)
 
         return replace(self, root=rebuild(self.root))
-
-    def flat_params(self) -> np.ndarray:
-        parts = [
-            node.payload.flat_params()
-            for node in _preorder(self.root)
-            if isinstance(node.payload, QuantumTensor)
-        ]
-        return np.concatenate(parts) if parts else np.zeros(0)
 
 
 def _preorder(node: TreeNode):
@@ -321,8 +351,6 @@ class _Pass:
         words: dict | None = None,
         stacks: dict | None = None,
     ):
-        if any(len(f) != ket.layout.num_subsystems for _, f in factors):
-            raise ValueError("observable factor count does not match the layout")
         self.factors = factors
         self.coeffs = np.array([c for c, _ in factors], dtype=float)
         self.counters = counters if counters is not None else EvalCounters()
@@ -333,11 +361,9 @@ class _Pass:
             self.bra_nodes, self.bra_stacks = self.ket_nodes, self.ket_stacks
         else:
             self.bra_nodes, self.bra_stacks = list(_preorder(bra.root)), {}
-            for na, nb in zip(self.bra_nodes, self.ket_nodes):
-                if type(na.payload) is not type(nb.payload) or len(
-                    na.children
-                ) != len(nb.children):
-                    raise ValueError("overlap requires structurally identical trees")
+            pairs = zip(self.bra_nodes, self.ket_nodes)
+            if any(_shape(na) != _shape(nb) for na, nb in pairs):
+                raise ValueError("overlap requires structurally identical trees")
         # children[i] lists (attach, child index) and parent[i] is (parent,
         # attach); node i's subtree is nodes i .. end[i] - 1 and covers the
         # subsystems covered[i]; physical[i] is (subsystem, physical qubits
@@ -346,8 +372,8 @@ class _Pass:
             [], [None], [], [], []
         )
         self._index(ket.root)
-        if self.covered[0] != tuple(range(ket.layout.num_subsystems)):
-            raise ValueError("tree structure does not cover the subsystem layout")
+        if any(len(f) != len(self.covered[0]) for _, f in factors):
+            raise ValueError("observable factor count does not match the layout")
         self.blocks: dict = {}
         self.envs: dict = {}
         self.grams: dict = {}
@@ -358,15 +384,9 @@ class _Pass:
         self.end.append(0)
         self.children.append(())
         self.covered.append(())
-        payload = node.payload
-        attach = {link.attach for link in node.children}
-        if isinstance(payload, QuantumTensor):
-            physical = [q for q in range(payload.num_qubits) if q not in attach]
-        else:
-            first = 0 if i == 0 else 1  # a branch MPS's site 0 is its upward leg
-            physical = [s for s in range(first, payload.num_sites) if s not in attach]
+        physical = _physical(node, i == 0)
         subsystem = sum(entry is not None for entry in self.physical)
-        self.physical.append((subsystem, tuple(physical)) if physical else None)
+        self.physical.append((subsystem, physical) if physical else None)
         kids = []
         for link in node.children:
             self.parent.append((i, link.attach))
@@ -609,13 +629,6 @@ def tree_transition_energy(a: HybridTree, b: HybridTree, h: Hamiltonian) -> comp
 # ---------------------------------------------------------------------------
 # builders
 
-def _layout_for_sizes(sizes: tuple[int, ...]) -> SubsystemLayout:
-    assignment = []
-    for s, size in enumerate(sizes):
-        assignment.extend((s, r) for r in range(size))
-    return SubsystemLayout(len(sizes), tuple(sizes), tuple(assignment))
-
-
 def _family(circuit: Circuit, labels: int) -> QuantumTensor:
     """Shared-unitary payload prepared from |0..0> (and |1..1>), parameters zero."""
     n = circuit.num_qubits
@@ -639,8 +652,7 @@ def build_two_layer_qq(
     links = tuple(
         ChildLink(s, TreeNode(_family(c, 2))) for s, c in enumerate(branch_circuits)
     )
-    layout = _layout_for_sizes(tuple(c.num_qubits for c in branch_circuits))
-    return HybridTree(TreeNode(_family(root_circuit, 1), links), layout).with_params(params)
+    return HybridTree(TreeNode(_family(root_circuit, 1), links)).with_params(params)
 
 
 def build_two_layer_qc(root_mps: MpsTensor, branch_circuits, params) -> HybridTree:
@@ -653,8 +665,7 @@ def build_two_layer_qc(root_mps: MpsTensor, branch_circuits, params) -> HybridTr
     links = tuple(
         ChildLink(s, TreeNode(_family(c, 2))) for s, c in enumerate(branch_circuits)
     )
-    layout = _layout_for_sizes(tuple(c.num_qubits for c in branch_circuits))
-    return HybridTree(TreeNode(root_mps, links), layout).with_params(params)
+    return HybridTree(TreeNode(root_mps, links)).with_params(params)
 
 
 def build_two_layer_cq(root_circuit: Circuit, branch_mps, params) -> HybridTree:
@@ -670,5 +681,4 @@ def build_two_layer_cq(root_circuit: Circuit, branch_mps, params) -> HybridTree:
         if m.site_dims[0] != 2:
             raise ValueError("branch MPS site 0 must be the binary branch leg")
     links = tuple(ChildLink(s, TreeNode(m)) for s, m in enumerate(branch_mps))
-    layout = _layout_for_sizes(tuple(m.num_sites - 1 for m in branch_mps))
-    return HybridTree(TreeNode(_family(root_circuit, 1), links), layout).with_params(params)
+    return HybridTree(TreeNode(_family(root_circuit, 1), links)).with_params(params)

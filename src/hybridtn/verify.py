@@ -48,7 +48,6 @@ from .tree import (
     ProductObservable,
     TreeNode,
     _family,
-    _layout_for_sizes,
     build_two_layer_qq,
     tree_energy,
     tree_expectation,
@@ -184,9 +183,7 @@ def random_qq_tree(
 
 def one_node_tree(circuit: Circuit) -> HybridTree:
     """The circuit on |0..0> as a tree of one quantum node."""
-    return HybridTree(
-        TreeNode(_family(circuit, 1)), _layout_for_sizes((circuit.num_qubits,))
-    )
+    return HybridTree(TreeNode(_family(circuit, 1)))
 
 
 def tree_to_dense_spec(tree: HybridTree) -> DenseTreeSpec:

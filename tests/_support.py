@@ -22,7 +22,7 @@ from hybridtn.tensors import (
     _direct_matrix,
     mps_general_expectation,
 )
-from hybridtn.tree import ProductObservable
+from hybridtn.tree import HybridTree, ProductObservable, _preorder
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +167,27 @@ def circuit_from_json(text: str) -> Circuit:
 
 
 # ---------------------------------------------------------------------------
+# flat parameter vectors
+
+def payload_flat_params(payload: QuantumTensor) -> np.ndarray:
+    return (
+        np.concatenate(payload.params)
+        if payload.params
+        else np.zeros(0)
+    )
+
+
+def flat_params(tree: HybridTree) -> np.ndarray:
+    """The tree's parameters, laid out by :meth:`HybridTree.param_slices`."""
+    parts = [
+        payload_flat_params(node.payload)
+        for node in _preorder(tree.root)
+        if isinstance(node.payload, QuantumTensor)
+    ]
+    return np.concatenate(parts) if parts else np.zeros(0)
+
+
+# ---------------------------------------------------------------------------
 # Hamiltonians
 
 def pauli_term(coefficient, factors) -> PauliTerm:
@@ -178,7 +199,7 @@ def pauli_term(coefficient, factors) -> PauliTerm:
 
 def to_global(layout: SubsystemLayout, subsystem: int, local: int) -> int:
     """Global qubit of local qubit ``local`` in subsystem ``subsystem``."""
-    return layout.inverse[(subsystem, local)]
+    return sum(layout.subsystem_sizes[:subsystem]) + local
 
 
 def product_observable(term: PauliTerm, layout: SubsystemLayout) -> ProductObservable:

@@ -28,7 +28,7 @@ from hybridtn.ite import IteRecord, TreeProblem, _perturbed_stack
 from hybridtn.pauli import FieldValues, build_1d_cluster
 from hybridtn.verify import check_descent
 
-from _support import hamiltonian_from_text
+from _support import flat_params, hamiltonian_from_text
 
 GOLDEN_2D_GROUND = -3.0959559301377086  # 2d_web n=2 k=2 lambda=1 seed=11
 
@@ -77,12 +77,12 @@ def test_config_fills_documented_defaults():
     assert config.lam == 0.5
     assert config.fields == FieldValues(f=1.0, g=0.5, h=0.318)
     assert (config.d_u, config.d_v) == (8, 4)
-    assert config.shots == 0
+    assert not hasattr(config, "shots")  # runs take no samples
     assert config.seed == 0
     assert config.out is None
     assert config.ite.reg == 1e-6
     assert config.ite.seed == 0
-    assert not hasattr(config.ite, "shots")  # shots live at the top level only
+    assert not hasattr(config.ite, "shots")
 
 
 def test_config_rejects_unknown_keys_at_every_level():
@@ -94,7 +94,7 @@ def test_config_rejects_unknown_keys_at_every_level():
         config_from_dict(minimal_config(fields={"j": 1.0}))
     with pytest.raises(ConfigError, match="unknown versions key"):
         config_from_dict(minimal_config(versions={"config": 1, "extra": 2}))
-    # the ite stanza may not smuggle in seed or shots; they live at top level
+    # the ite stanza may not smuggle in seed (it lives at top level) or shots
     with pytest.raises(ConfigError, match="seed"):
         config_from_dict(minimal_config(ite={"seed": 3}))
     with pytest.raises(ConfigError, match="shots"):
@@ -126,13 +126,17 @@ def test_config_lambda_forms():
 
 
 def test_config_rejects_shots_under_direct_evaluation(tmp_path, capsys):
-    with pytest.raises(ConfigError, match="direct strategy"):
-        config_from_dict(minimal_config(shots=1000))
-    assert config_from_dict(minimal_config(shots=0)).shots == 0
+    # runs evaluate exactly and take no samples, so the schema has no shots
+    # key: naming it, even as 0, is an unknown key
+    for shots in (0, 1000):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            config_from_dict(minimal_config(shots=shots))
     config_path = write_config(tmp_path, minimal_config(shots=1000))
     code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
-    assert "direct strategy" in capsys.readouterr().err
+    unknown, allowed = capsys.readouterr().err.split("allowed:")
+    assert "shots" in unknown and "shots" not in allowed
+    assert "d_U" in allowed and "seed" in allowed
     assert not (tmp_path / "o").exists()
 
 
@@ -411,7 +415,7 @@ def test_run_bytes_estimate_counts_the_stacks_and_the_overlap_matrix(monkeypatch
         tree = build_tree(config)
         problem = TreeProblem(tree, build_model(config, 1.0)[0])
         swept.clear()
-        stacks = problem._fd_pass(tree.flat_params(), 1e-3).ket_stacks
+        stacks = problem._fd_pass(flat_params(tree), 1e-3).ket_stacks
         kept = sum(stacks[i].nbytes for i, start, stop in tree.param_slices() if stop > start)
         assert kept == sum(swept)  # every stack is a view of its sweep's buffer
         assert run_bytes_estimate(config) == kept + max(swept) + 16 * tree.num_params**2

@@ -35,7 +35,13 @@ from hybridtn.oracles import (
     exact_ground_energy,
     hamiltonian_matrix,
 )
-from hybridtn.pauli import Hamiltonian, PauliTerm, build_1d_cluster, build_2d_web
+from hybridtn.pauli import (
+    Hamiltonian,
+    PauliTerm,
+    SubsystemLayout,
+    build_1d_cluster,
+    build_2d_web,
+)
 from hybridtn.statevector import (
     GATE_KINDS,
     Circuit,
@@ -51,7 +57,6 @@ from hybridtn.tree import (
     ChildLink,
     HybridTree,
     TreeNode,
-    _layout_for_sizes,
     _preorder,
     _compile_words,
     _obs_blocks,
@@ -63,7 +68,13 @@ from hybridtn.tree import (
 )
 from hybridtn.verify import one_node_tree, random_circuit, random_qq_tree, tree_to_dense_spec
 
-from _support import PointwiseStencil, circuit_from_json, circuit_state, random_mps
+from _support import (
+    PointwiseStencil,
+    circuit_from_json,
+    circuit_state,
+    flat_params,
+    random_mps,
+)
 from test_statevector import dense_circuit
 
 
@@ -376,7 +387,7 @@ def test_tree_flow_reaches_product_ground_state():
     result, tuned = run_ite_tree(tree, h, IteConfig(reg=1e-2, seed=0, max_iters=400))
     assert result.converged
     assert result.energy == pytest.approx(-4.0, abs=1e-4)
-    assert np.array_equal(tuned.flat_params(), result.params)
+    assert np.array_equal(flat_params(tuned), result.params)
 
     psi = dense_tree_state(tree_to_dense_spec(tuned))
     dense_energy = np.real(psi.conj() @ hamiltonian_matrix(h) @ psi)
@@ -570,7 +581,7 @@ class _PointwiseTreeProblem(PointwiseStencil, TreeProblem):
 def _assert_routes_agree(tree, h):
     fast = TreeProblem(tree, h)
     generic = _PointwiseTreeProblem(tree, h)
-    params = tree.flat_params()
+    params = flat_params(tree)
     assert np.allclose(
         metric_a(fast, params, 1e-3), metric_a(generic, params, 1e-3), atol=1e-7
     )
@@ -583,7 +594,7 @@ def test_fast_stencil_overlaps_match_pointwise_tree_overlaps():
     for kind in TREE_KINDS:
         tree = _stencil_tree(kind)
         problem = TreeProblem(tree, crossing_hamiltonian())
-        params = tree.flat_params()
+        params = flat_params(tree)
         delta = 1e-3
         s_mat, s_vec, n0 = problem._overlap_fd_matrix(params, delta)
 
@@ -610,9 +621,11 @@ def test_fast_stencil_energies_match_pointwise_tree_energies():
     # an MPS node below the root, whose quantum leaf's environment is the
     # MPS node's hole
     cases.append(_mps_middle_tree(np.random.default_rng(78)))
+    # the MPS node's one physical site is a subsystem of its own
+    assert cases[-1][0].layout == SubsystemLayout((1, 2, 2))
     for tree, h in cases:
         problem = TreeProblem(tree, h)
-        params = tree.flat_params()
+        params = flat_params(tree)
         delta = 1e-3
         e0, evec = problem._energies_fd(params, delta)
         assert e0 == pytest.approx(
@@ -645,7 +658,7 @@ def _mps_middle_tree(rng, n: int = 2):
         QuantumTensor.shared(root_circuit, ("00",), params),
         (ChildLink(0, mid), ChildLink(1, leaf())),
     )
-    tree = HybridTree(root, _layout_for_sizes((1, n, n)))
+    tree = HybridTree(root)
     h, _ = build_1d_cluster(1 + 2 * n, 1, lam=0.8, seed=17)
     return tree, h
 
@@ -672,7 +685,7 @@ def _three_layer_tree(
         mid = TreeNode(payload(n + 1, mid_bits), (ChildLink(0, leaf),))
         links.append(ChildLink(s, mid))
     root = TreeNode(payload(2, ("00",)), tuple(links))
-    return HybridTree(root, _layout_for_sizes((n,) * 4))
+    return HybridTree(root)
 
 
 def test_three_layer_tree_energy_matches_dense_oracle_state():
@@ -682,6 +695,8 @@ def test_three_layer_tree_energy_matches_dense_oracle_state():
         rng = np.random.default_rng(90 + seed)
         n = 1 + seed % 2
         tree = _three_layer_tree(rng, n, lambda w: random_circuit(rng, w, 2)[0])
+        # each middle node's free qubits come before its leaf's, in pre-order
+        assert tree.layout == SubsystemLayout((n,) * 4)
         h, _ = build_1d_cluster(n, 4, lam=0.8, seed=seed)
         families = []
         for link in tree.root.children:
@@ -723,7 +738,7 @@ def test_fast_stencil_energies_match_dense_oracle_states(kind):
     else:
         tree, h = _stencil_tree(kind), crossing_hamiltonian()
     h_mat = hamiltonian_matrix(h)
-    params, delta = tree.flat_params(), 1e-3
+    params, delta = flat_params(tree), 1e-3
     e0, evec = TreeProblem(tree, h)._energies_fd(params, delta)
     psi = _oracle_tree_state(tree)
     assert e0 == pytest.approx(np.vdot(psi, h_mat @ psi).real, abs=1e-10)
@@ -942,7 +957,7 @@ def test_distinct_unitaries_payload_rows_match_per_row_families():
     for circuits, vecs in (([c0, c1], [p0, p1]), ([c0, fixed], [p0, ()])):
         tree = _with_distinct_branch(_stencil_tree("qq"), circuits, vecs)
         problem = TreeProblem(tree, crossing_hamiltonian())
-        params, delta = tree.flat_params(), 1e-3
+        params, delta = flat_params(tree), 1e-3
         stacks = problem._fd_pass(params, delta).ket_stacks
         nodes = list(_preorder(tree.root))
         for i, start, stop in tree.param_slices():

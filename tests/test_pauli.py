@@ -110,13 +110,47 @@ def test_hamiltonian_canonical_under_permutation(entries):
 # ---------------------------------------------------------------------------
 # layout
 
-def test_block_major_layout():
-    layout = SubsystemLayout.block_major(3, 2)
+def test_consecutive_block_layout():
+    layout = SubsystemLayout((2,) * 3)
     assert layout.num_subsystems == 3
     assert layout.num_qubits == 6
     assert to_global(layout, 0, 0) == 0
     assert to_global(layout, 1, 0) == 2
     assert to_global(layout, 2, 1) == 5
+
+
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=5).flatmap(
+        lambda sizes: st.tuples(
+            st.just(tuple(sizes)),
+            st.dictionaries(
+                st.integers(0, sum(sizes) - 1), st.sampled_from("XYZ"), min_size=1
+            ),
+        )
+    )
+)
+def test_decompose_matches_a_brute_force_block_map(case):
+    sizes, factors = case
+
+    def block_of(q):
+        # global qubit -> (block, local qubit), stepping over whole blocks
+        s = 0
+        while q >= sizes[s]:
+            q -= sizes[s]
+            s += 1
+        return s, q
+
+    layout = SubsystemLayout(sizes)
+    assert (layout.num_subsystems, layout.num_qubits) == (len(sizes), sum(sizes))
+    assert layout.assignment == tuple(block_of(q) for q in range(sum(sizes)))
+    h = Hamiltonian(sum(sizes), (PauliTerm(0.5, tuple(factors.items())),))
+    ((coeff, got),) = decompose_for_layout(h, layout)
+    want = [[] for _ in sizes]
+    for q, letter in factors.items():
+        s, r = block_of(q)
+        want[s].append((r, letter))
+    assert coeff == 0.5
+    assert got == tuple(tuple(sorted(w)) for w in want)
 
 
 def test_decompose_recompose_round_trip():

@@ -1,12 +1,15 @@
 """The package surface: every export resolves, and no definition is dead.
 
 A module-level def, class or constant in ``src/hybridtn``, and a method
-defined in the body of a module-level class (dunders excluded), must be
-used as a name (not in a docstring or comment) somewhere in the package,
-``scripts/`` or ``perfbench/``, outside its own definition; a method's
-use is any use of its bare name.  Re-exports in ``__init__`` do not count
-as a use, and nor do the tests: a helper that only the tests call belongs
-in ``tests/_support.py``.
+or annotated field (a dataclass or NamedTuple field) in the body of a
+module-level class (dunders excluded), must be used somewhere in the
+package, ``scripts/`` or ``perfbench/``, outside its own definition.  A
+use is a name read or written, an attribute, an imported name or a
+keyword argument, wherever the parser sees code (f-strings included, not
+docstrings or comments, and not the name of a ``def``); a member's use is
+any use of its bare name.  Re-exports in ``__init__`` do not count as a
+use, and nor do the tests: a helper that only the tests call belongs in
+``tests/_support.py``.
 
 The benchmark's tracer wraps package functions by module and attribute
 path, and a target that no longer resolves silently reads 0, so every
@@ -16,8 +19,6 @@ one of its targets must resolve, bar a known list that may only shrink.
 import ast
 import importlib
 import importlib.util
-import io
-import tokenize
 from pathlib import Path
 
 import hybridtn
@@ -48,18 +49,21 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 def _definitions(path: Path):
     """(label, name, first line, last line) of each module-level definition
-    and of each method in a module-level class body, dunders excluded; a
-    method's label is ``Class.method``."""
+    and of each method and annotated field in a module-level class body,
+    dunders excluded; a member's label is ``Class.member``."""
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
             yield node.name, node.name, node.lineno, node.end_lineno
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, FUNCTIONS) and not (
-                    item.name.startswith("__") and item.name.endswith("__")
-                ):
-                    label = f"{node.name}.{item.name}"
-                    yield label, item.name, item.lineno, item.end_lineno
+                if isinstance(item, FUNCTIONS):
+                    name = item.name
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                else:
+                    continue
+                if not (name.startswith("__") and name.endswith("__")):
+                    yield f"{node.name}.{name}", name, item.lineno, item.end_lineno
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
@@ -67,16 +71,32 @@ def _definitions(path: Path):
                     yield target.id, target.id, node.lineno, node.end_lineno
 
 
+def _used_names(tree: ast.AST):
+    """(name, line) of every name, attribute, imported name and keyword
+    argument in a parsed module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.name.split(".")[-1], node.lineno
+        elif isinstance(node, ast.Call):
+            for kw in node.keywords:
+                if kw.arg is not None:
+                    yield kw.arg, kw.lineno
+
+
 def _name_uses() -> dict[str, list[tuple[Path, int]]]:
-    """Every NAME token in the package, scripts and benchmark, by name."""
+    """Every use in the package, scripts and benchmark, by name."""
     uses: dict[str, list[tuple[Path, int]]] = {}
     for top in (PACKAGE, ROOT / "scripts", ROOT / "perfbench"):
         for path in sorted(top.rglob("*.py")):
             if path == INIT:
                 continue
-            for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
-                if tok.type == tokenize.NAME:
-                    uses.setdefault(tok.string, []).append((path, tok.start[0]))
+            for name, line in _used_names(ast.parse(path.read_text())):
+                uses.setdefault(name, []).append((path, line))
     return uses
 
 

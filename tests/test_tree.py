@@ -14,6 +14,7 @@ from hybridtn.oracles import (
 from hybridtn.pauli import (
     Hamiltonian,
     PauliTerm,
+    SubsystemLayout,
     build_1d_cluster,
     build_2d_web,
     decompose_for_layout,
@@ -26,7 +27,6 @@ from hybridtn.tree import (
     HybridTree,
     ProductObservable,
     TreeNode,
-    _layout_for_sizes,
     build_two_layer_cq,
     build_two_layer_qc,
     build_two_layer_qq,
@@ -37,7 +37,7 @@ from hybridtn.tree import (
 )
 from hybridtn.verify import random_qq_tree, tree_to_dense_spec
 
-from _support import product_observable, random_mps
+from _support import flat_params, product_observable, random_mps
 
 
 def global_term(rng: np.random.Generator, num_qubits: int) -> PauliTerm:
@@ -85,6 +85,8 @@ def test_energy_matches_dense_both_models():
     for builder, n, k in cases:
         h, _ = builder(n, k, lam=0.8, seed=13)
         tree = random_qq_tree(rng, k, n)
+        # one subsystem per branch: the root's qubits all carry branches
+        assert tree.layout == SubsystemLayout((n,) * k)
         psi = dense_tree_state(tree_to_dense_spec(tree))
         want = float(np.real(psi.conj() @ hamiltonian_matrix(h) @ psi))
         assert tree_energy(tree, h) == pytest.approx(want, abs=1e-10)
@@ -130,6 +132,7 @@ def test_mps_root_tree_matches_dense():
     branches = [build_hardware_efficient_ansatz(n, 2) for _ in range(k)]
     params = rng.uniform(-np.pi, np.pi, size=sum(b.num_params for b in branches))
     tree = build_two_layer_qc(root, branches, params)
+    assert tree.layout == SubsystemLayout((n,) * k)
     spec = DenseTreeSpec(
         mps_dense(root),
         tuple(dense_family(link.node.payload) for link in tree.root.children),
@@ -147,6 +150,8 @@ def test_mps_branch_tree_matches_dense():
     branch_mps = [random_mps(n + 1, chi=2, seed=60 + s) for s in range(k)]
     params = rng.uniform(-np.pi, np.pi, size=root_circuit.num_params)
     tree = build_two_layer_cq(root_circuit, branch_mps, params)
+    # a branch MPS's site 0 is its upward leg, the others its qubits
+    assert tree.layout == SubsystemLayout((n,) * k)
     coeff = tree.root.payload.joint_state().reshape((2,) * k)
     coeff = coeff.transpose(tuple(range(k - 1, -1, -1)))
     spec = DenseTreeSpec(
@@ -196,13 +201,13 @@ def test_transition_elements_match_dense():
 def test_parameter_round_trip_and_slices():
     rng = np.random.default_rng(63)
     tree = random_qq_tree(rng, 3, 2)
-    flat = tree.flat_params()
+    flat = flat_params(tree)
     rebuilt = tree.with_params(flat)
-    np.testing.assert_array_equal(rebuilt.flat_params(), flat)
+    np.testing.assert_array_equal(flat_params(rebuilt), flat)
     slices = tree.param_slices()
     assert sum(stop - start for _, start, stop in slices) == tree.num_params
     fresh = rng.uniform(-1, 1, size=tree.num_params)
-    np.testing.assert_array_equal(tree.with_params(fresh).flat_params(), fresh)
+    np.testing.assert_array_equal(flat_params(tree.with_params(fresh)), fresh)
 
 
 def test_builder_rejects_wrong_param_length():
@@ -218,9 +223,66 @@ def test_quantum_parent_refuses_a_non_binary_child():
     labels = ("00", "01", "10", "11")
     child = QuantumTensor.shared(child_circuit, labels, np.zeros(child_circuit.num_params))
     root = QuantumTensor.shared(root_circuit, ("0",), np.zeros(root_circuit.num_params))
-    tree = HybridTree(TreeNode(root, (ChildLink(0, TreeNode(child)),)), _layout_for_sizes((2,)))
+    tree = HybridTree(TreeNode(root, (ChildLink(0, TreeNode(child)),)))
     h, _ = build_1d_cluster(2, 1, lam=0.5, seed=1)
     with pytest.raises(ValueError, match="binary"):
         tree_overlap(tree, tree)
     with pytest.raises(ValueError, match="binary"):
         tree_energy(tree, h)
+
+
+# ---------------------------------------------------------------------------
+# malformed shapes
+
+def _branch(width: int, seed: int) -> TreeNode:
+    circuit = build_hardware_efficient_ansatz(width, 1)
+    params = np.random.default_rng(seed).uniform(-np.pi, np.pi, circuit.num_params)
+    return TreeNode(QuantumTensor.shared(circuit, ("0" * width, "1" * width), params))
+
+
+def _two_qubit_root(*links: ChildLink) -> HybridTree:
+    circuit = build_hardware_efficient_ansatz(2, 1)
+    params = np.random.default_rng(0).uniform(-np.pi, np.pi, circuit.num_params)
+    return HybridTree(TreeNode(QuantumTensor.shared(circuit, ("00",), params), links))
+
+
+def test_tree_rejects_two_children_on_one_attach_point():
+    # both branches on root qubit 0 gave an energy that moved with their order
+    tree = _two_qubit_root(ChildLink(0, _branch(1, 1)), ChildLink(0, _branch(1, 2)))
+    h, _ = build_1d_cluster(3, 1, lam=0.5, seed=1)
+    with pytest.raises(ValueError, match="share an attach point"):
+        tree_energy(tree, h)
+    with pytest.raises(ValueError, match="share an attach point"):
+        tree.layout
+
+
+def test_tree_rejects_an_attach_point_outside_the_parent():
+    # root qubit 1 and the two branches: a register of three qubits
+    tree = _two_qubit_root(ChildLink(0, _branch(1, 1)), ChildLink(5, _branch(1, 2)))
+    h, _ = build_1d_cluster(3, 1, lam=0.5, seed=1)
+    with pytest.raises(ValueError, match="attach point 5"):
+        tree_energy(tree, h)
+    with pytest.raises(ValueError, match="attach point 5"):
+        tree_overlap(tree, tree)
+
+
+def test_branch_mps_rejects_a_child_on_its_upward_leg():
+    # site 0 of a branch MPS is the leg to its parent, not an attach point
+    mid = TreeNode(random_mps(3, chi=2, seed=5), (ChildLink(0, _branch(1, 1)),))
+    tree = _two_qubit_root(ChildLink(0, mid), ChildLink(1, _branch(1, 2)))
+    h, _ = build_1d_cluster(4, 1, lam=0.5, seed=1)
+    with pytest.raises(ValueError, match="attach point 0"):
+        tree_energy(tree, h)
+
+
+def test_overlap_rejects_trees_whose_branches_sit_on_other_qubits():
+    # same payloads and child counts, but the branches swap root qubits: the
+    # overlap read 1 where the two states' overlap is not
+    a = _two_qubit_root(ChildLink(0, _branch(1, 1)), ChildLink(1, _branch(1, 2)))
+    b = _two_qubit_root(ChildLink(1, _branch(1, 1)), ChildLink(0, _branch(1, 2)))
+    with pytest.raises(ValueError, match="structurally identical"):
+        tree_overlap(a, b)
+    # and the branches' sizes must agree too
+    c = _two_qubit_root(ChildLink(0, _branch(1, 1)), ChildLink(1, _branch(2, 2)))
+    with pytest.raises(ValueError, match="structurally identical"):
+        tree_overlap(a, c)
