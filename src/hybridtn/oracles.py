@@ -7,19 +7,19 @@ qubits are diagonalized as the dense matrix written from those flips and
 phases, larger ones through the matrix-free operator they define.
 :func:`hamiltonian_matrix` is the literal reference, one Kronecker product
 per term (up to ``DENSE_MATRIX_BYTES``), and the tests check the oracle
-against it.  Tree states are built by explicit summation over classical
-labels, and the pair-contraction rules are transcribed as einsum
-formulas.  The structured evaluators elsewhere in the package are
-validated against these, so this module must not reuse their contraction
-logic.
+against it.  :func:`dense_tree_state` builds the state of any tree by
+explicit summation over classical labels, in the pre-order qubit layout
+of :attr:`~hybridtn.tree.HybridTree.layout`, and the pair-contraction
+rules are transcribed as einsum formulas.  The structured evaluators
+elsewhere in the package are validated against these, so this module
+must not reuse their contraction logic: from :mod:`hybridtn.tree` it
+reads the data classes alone, and it calls no MPS transfer contraction.
 
 The module needs numpy only: every ``hybridtn run`` calls the ground-state
 oracle, and importing ``scipy.linalg`` would cost more than the oracle.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,7 @@ import numpy.random  # noqa: F401
 from .pauli import Hamiltonian, PauliTerm, parity_signs, pauli_word_masks
 from .statevector import StateVector
 from .tensors import MpsTensor, QuantumTensor
+from .tree import HybridTree, TreeNode
 
 # the crossover: an eigh of the compiled dense matrix against Lanczos took
 # 6.6-6.9 against 6.5-6.7 ms at 8 qubits, 0.35-0.60 against 2.2-2.4 ms at 6
@@ -243,7 +244,7 @@ def exact_ground_energy(h: Hamiltonian) -> tuple[float, StateVector]:
 
 
 # ---------------------------------------------------------------------------
-# dense embeddings of classical payloads
+# dense node families
 
 def mps_dense(m: MpsTensor) -> np.ndarray:
     """Coefficient tensor of an MPS, shape = site_dims (literal contraction)."""
@@ -253,28 +254,14 @@ def mps_dense(m: MpsTensor) -> np.ndarray:
     return acc.reshape(m.site_dims)
 
 
-def dense_family(tensor) -> np.ndarray:
-    """Stack of branch-index states as a dense (labels, dim) array.
-
-    Quantum tensors yield their circuit families (projections for an open
-    index); an MPS whose site 0 is the branch leg yields the slices of its
-    dense coefficient tensor.
-    """
-    if isinstance(tensor, QuantumTensor):
-        if tensor.open_qubit is not None:
-            psi = tensor.joint_state().reshape((2,) * tensor.num_qubits)
-            axis = tensor.num_qubits - 1 - tensor.open_qubit
-            moved = np.moveaxis(psi, axis, 0)
-            return moved.reshape(2, -1)
+def dense_family(tensor: QuantumTensor) -> np.ndarray:
+    """A quantum tensor's label states, or an open index's two projections,
+    as a dense (labels, dim) array."""
+    if tensor.open_qubit is None:
         return tensor.family_states()
-    if isinstance(tensor, MpsTensor):
-        coeffs = mps_dense(tensor)
-        labels = coeffs.shape[0]
-        # site m holds local qubit m-1, which is bit m-1 of the register
-        # index, so reverse the remaining axes before flattening
-        rows = [coeffs[i].transpose().reshape(-1) for i in range(labels)]
-        return np.stack(rows)
-    raise TypeError(f"no dense family for {type(tensor).__name__}")
+    psi = tensor.joint_state().reshape((2,) * tensor.num_qubits)
+    moved = np.moveaxis(psi, tensor.num_qubits - 1 - tensor.open_qubit, 0)
+    return moved.reshape(2, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -349,41 +336,67 @@ def _literal_project(amps, group, n):
 
 
 # ---------------------------------------------------------------------------
-# dense tree states (checks tree_network evaluation)
+# dense tree states (checks tree evaluation)
 
-@dataclass(frozen=True)
-class DenseTreeSpec:
-    """Ingredients of a two-layer tree in oracle-friendly form.
+def _own_positions(node: TreeNode, root: bool) -> list[int]:
+    """A node's qubits or MPS sites that no child attaches to (a branch
+    MPS's site 0 is its upward leg)."""
+    payload = node.payload
+    quantum = isinstance(payload, QuantumTensor)
+    size = payload.num_qubits if quantum else payload.num_sites
+    attach = [link.attach for link in node.children]
+    own = range(0 if quantum or root else 1, size)
+    if len(set(attach)) != len(attach) or not set(attach) <= set(own):
+        raise ValueError(f"attach points {attach} do not fit the node's {list(own)}")
+    return [p for p in own if p not in attach]
 
-    ``coefficients`` is the dense root array alpha_{i1..ik} (shape (2,)*k
-    for binary branch labels); ``branch_families`` holds one (labels, dim)
-    array per branch, branch 0 occupying the lowest qubits.
+
+def _tree_qubits(node: TreeNode, root: bool = True) -> int:
+    below = sum(_tree_qubits(link.node, False) for link in node.children)
+    return len(_own_positions(node, root)) + below
+
+
+def _subtree_state(node: TreeNode, root: bool) -> np.ndarray:
+    """The node's subtree as (upward label, qubit 0, qubit 1, ...).
+
+    Integer einsum labels: 0 is the upward label and 1 + p the node's
+    qubit or site p, which a child attached there sums its label against;
+    the children's qubits get fresh labels.
     """
+    payload = node.payload
+    if isinstance(payload, QuantumTensor):
+        n = payload.num_qubits
+        fam = dense_family(payload)  # axis 1 of its view holds qubit n - 1
+        operands = [fam.reshape((len(fam),) + (2,) * n), [0, *range(n, 0, -1)]]
+    else:  # an MPS root gets a label axis of one; a branch's site 0 is its leg
+        n = payload.num_sites
+        coeffs = mps_dense(payload)
+        operands = [coeffs[None], [*range(n + 1)]] if root else [coeffs, [0, *range(2, n + 1)]]
+    out = [0] + [1 + p for p in _own_positions(node, root)]
+    for link in node.children:
+        child = _subtree_state(link.node, False)
+        fresh = list(range(n + len(out), n + len(out) + child.ndim - 1))
+        operands += [child, [1 + link.attach] + fresh]
+        out += fresh
+    return np.einsum(*operands, out)
 
-    coefficients: np.ndarray
-    branch_families: tuple[np.ndarray, ...]
 
+def dense_tree_state(tree: HybridTree) -> np.ndarray:
+    """The state of any tree, by explicit sums over every edge's label.
 
-def dense_tree_state(spec: DenseTreeSpec) -> np.ndarray:
-    """Explicit sum over classical labels of the branch product states."""
-    dims = [fam.shape[1] for fam in spec.branch_families]
-    total = int(np.prod(dims))
-    if total > 2**TREE_STATE_LIMIT:
+    Quantum and MPS nodes at any depth and children in any order: each
+    node's :func:`dense_family` or :func:`mps_dense` coefficients, with
+    each child's label summed against the parent qubit or site it attaches
+    to.  Qubit order: the root's own qubits (those no child attaches to,
+    in increasing order) are the low bits, then each child's subtree in
+    the order the children are listed, recursively -- the pre-order of
+    :attr:`~hybridtn.tree.HybridTree.layout`.  Above ``TREE_STATE_LIMIT``
+    qubits, counted from the node sizes, nothing is simulated.
+    """
+    n = _tree_qubits(tree.root)
+    if n > TREE_STATE_LIMIT:
         raise OracleLimitError(
-            f"dense tree state limited to {TREE_STATE_LIMIT} qubits"
+            f"a {n}-qubit tree state exceeds the {TREE_STATE_LIMIT}-qubit limit"
         )
-    k = len(spec.branch_families)
-    if spec.coefficients.shape != tuple(
-        fam.shape[0] for fam in spec.branch_families
-    ):
-        raise ValueError("coefficient shape does not match branch label counts")
-    out = np.zeros(total, dtype=complex)
-    for labels in np.ndindex(*spec.coefficients.shape):
-        coeff = spec.coefficients[labels]
-        if coeff == 0:
-            continue
-        piece = np.array([1.0 + 0j])
-        for s in range(k - 1, -1, -1):  # kron: later branches are high qubits
-            piece = np.kron(piece, spec.branch_families[s][labels[s]])
-        out += coeff * piece
-    return out
+    psi = _subtree_state(tree.root, True)  # to qubit 0 least significant
+    return psi.transpose([0, *range(psi.ndim - 1, 0, -1)]).reshape(-1)

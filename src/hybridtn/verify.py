@@ -26,13 +26,7 @@ from .ite import (
     run_ite,
     solve_subspace,
 )
-from .oracles import (
-    DenseTreeSpec,
-    dense_contract_pair,
-    dense_family,
-    dense_tree_state,
-    hamiltonian_matrix,
-)
+from .oracles import dense_contract_pair, dense_tree_state, hamiltonian_matrix
 from .pauli import Hamiltonian, PauliTerm, build_1d_cluster
 from .statevector import Circuit, GateOp, build_hardware_efficient_ansatz
 from .tensors import (
@@ -186,18 +180,6 @@ def one_node_tree(circuit: Circuit) -> HybridTree:
     return HybridTree(TreeNode(_family(circuit, 1)))
 
 
-def tree_to_dense_spec(tree: HybridTree) -> DenseTreeSpec:
-    """Two-layer tree -> dense coefficients + branch family stacks."""
-    root = tree.root
-    k = len(root.children)
-    coeff = root.payload.joint_state().reshape((2,) * k)
-    # axis 0 of the reshaped root state is its most significant qubit, i.e.
-    # the last branch; put branch 0 first
-    coeff = coeff.transpose(tuple(range(k - 1, -1, -1)))
-    families = tuple(dense_family(link.node.payload) for link in root.children)
-    return DenseTreeSpec(coeff, families)
-
-
 # ---------------------------------------------------------------------------
 # individual checks
 
@@ -308,7 +290,7 @@ def check_tree_against_dense(seed: int = 15) -> CheckResult:
         tree = random_qq_tree(rng, k, n)
         h, layout = build_1d_cluster(n, k, lam=float(rng.uniform(0, 1)), seed=int(rng.integers(1 << 30)))
         energy = tree_energy(tree, h)
-        psi = dense_tree_state(tree_to_dense_spec(tree))
+        psi = dense_tree_state(tree)
         dense = float(np.real(psi.conj() @ hamiltonian_matrix(h) @ psi))
         worst = max(worst, abs(energy - dense))
     return CheckResult(

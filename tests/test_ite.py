@@ -27,14 +27,7 @@ from hybridtn.ite import (
     solve_subspace,
     subspace_matrices,
 )
-from hybridtn.oracles import (
-    DenseTreeSpec,
-    dense_contract_pair,
-    dense_family,
-    dense_tree_state,
-    exact_ground_energy,
-    hamiltonian_matrix,
-)
+from hybridtn.oracles import dense_tree_state, exact_ground_energy, hamiltonian_matrix
 from hybridtn.pauli import (
     Hamiltonian,
     PauliTerm,
@@ -65,8 +58,9 @@ from hybridtn.tree import (
     build_two_layer_qq,
     tree_energy,
     tree_overlap,
+    tree_transition_energy,
 )
-from hybridtn.verify import one_node_tree, random_circuit, random_qq_tree, tree_to_dense_spec
+from hybridtn.verify import one_node_tree, random_circuit, random_qq_tree
 
 from _support import (
     PointwiseStencil,
@@ -389,7 +383,7 @@ def test_tree_flow_reaches_product_ground_state():
     assert result.energy == pytest.approx(-4.0, abs=1e-4)
     assert np.array_equal(flat_params(tuned), result.params)
 
-    psi = dense_tree_state(tree_to_dense_spec(tuned))
+    psi = dense_tree_state(tuned)
     dense_energy = np.real(psi.conj() @ hamiltonian_matrix(h) @ psi)
     assert result.energy == pytest.approx(float(dense_energy), abs=1e-9)
 
@@ -688,64 +682,30 @@ def _three_layer_tree(
     return HybridTree(root)
 
 
-def test_three_layer_tree_energy_matches_dense_oracle_state():
-    # middle nodes carry physical qubits and a child; the reference state
-    # comes from the oracles' literal case-4 contraction and tree sum
-    for seed in range(6):
-        rng = np.random.default_rng(90 + seed)
-        n = 1 + seed % 2
-        tree = _three_layer_tree(rng, n, lambda w: random_circuit(rng, w, 2)[0])
-        # each middle node's free qubits come before its leaf's, in pre-order
-        assert tree.layout == SubsystemLayout((n,) * 4)
-        h, _ = build_1d_cluster(n, 4, lam=0.8, seed=seed)
-        families = []
-        for link in tree.root.children:
-            (below,) = link.node.children
-            mid = replace(link.node.payload, quantum_groups=((below.attach,),))
-            families.append(dense_contract_pair(4, mid, "q0", below.node.payload, "i")[0])
-        # alpha[i_0, i_1] with root qubit s carrying branch s
-        coeff = dense_family(tree.root.payload)[0].reshape(2, 2).T
-        psi = dense_tree_state(DenseTreeSpec(coeff, tuple(families)))
-        want = np.vdot(psi, hamiltonian_matrix(h) @ psi).real
-        assert tree_energy(tree, h) == pytest.approx(want, abs=1e-10)
-
-
-def _oracle_tree_state(tree) -> np.ndarray:
-    """The state of a quantum-root tree from the oracles alone.
-
-    A branch is a dense family, or for a middle node over one quantum leaf
-    (``_three_layer_tree``) the oracles' literal case-4 contraction.
-    """
-    families = []
-    for link in tree.root.children:
-        if link.node.children:
-            (below,) = link.node.children
-            mid = replace(link.node.payload, quantum_groups=((below.attach,),))
-            families.append(dense_contract_pair(4, mid, "q0", below.node.payload, "i")[0])
-        else:
-            families.append(dense_family(link.node.payload))
-    k = len(families)
-    # alpha[i_0, .., i_k-1] with root qubit s carrying branch s
-    coeff = dense_family(tree.root.payload)[0].reshape((2,) * k)
-    return dense_tree_state(DenseTreeSpec(coeff.transpose(range(k - 1, -1, -1)), tuple(families)))
-
-
-@pytest.mark.parametrize("kind", ["qq", "cq", "qq3"])
+@pytest.mark.parametrize("kind", ["qq", "qc", "cq", "qq3", "distinct"])
 def test_fast_stencil_energies_match_dense_oracle_states(kind):
+    h = crossing_hamiltonian()
     if kind == "qq3":
         tree = _three_layer_tree(np.random.default_rng(76))
         h = build_1d_cluster(2, 4, lam=0.8, seed=15)[0]
+    elif kind == "distinct":  # branch 0 is a distinct-unitaries payload
+        rng = np.random.default_rng(77)
+        (c1, p1), (c2, p2) = random_circuit(rng, 2, 2), random_circuit(rng, 2, 2)
+        tree = _with_distinct_branch(_stencil_tree(), (c1, c2), (p1, p2))
     else:
-        tree, h = _stencil_tree(kind), crossing_hamiltonian()
+        tree = _stencil_tree(kind)
+    # an MPS root's sites all carry branches, a branch MPS's site 0 is its
+    # upward leg, and a middle node's free qubits are a subsystem of their own
+    assert tree.layout == SubsystemLayout((2,) * (4 if kind == "qq3" else 2))
     h_mat = hamiltonian_matrix(h)
     params, delta = flat_params(tree), 1e-3
     e0, evec = TreeProblem(tree, h)._energies_fd(params, delta)
-    psi = _oracle_tree_state(tree)
+    psi = dense_tree_state(tree)
     assert e0 == pytest.approx(np.vdot(psi, h_mat @ psi).real, abs=1e-10)
     for q in range(tree.num_params):
         bumped = params.copy()
         bumped[q] += delta
-        psi = _oracle_tree_state(tree.with_params(bumped))
+        psi = dense_tree_state(tree.with_params(bumped))
         assert evec[q] == pytest.approx(np.vdot(psi, h_mat @ psi).real, abs=1e-10), q
 
 
@@ -817,6 +777,29 @@ def stencil_trees(draw):
 @given(stencil_trees())
 def test_fast_stencil_matches_pointwise_route_on_random_trees(tree_and_h):
     _assert_routes_agree(*tree_and_h)
+
+
+def _shuffled(node: TreeNode, data) -> TreeNode:
+    """The node with every child list below it in a drawn order."""
+    links = [ChildLink(link.attach, _shuffled(link.node, data)) for link in node.children]
+    return TreeNode(node.payload, tuple(data.draw(st.permutations(links))))
+
+
+@given(stencil_trees(), st.data())
+def test_tree_evaluations_match_dense_states_with_children_in_any_order(tree_and_h, data):
+    tree, h = tree_and_h
+    a = HybridTree(_shuffled(tree.root, data))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    b = a.with_params(rng.uniform(-np.pi, np.pi, a.num_params))
+    # a stencil tree's root has no free qubits and every other node has n
+    count = len(list(_preorder(a.root))) - 1
+    assert a.layout == SubsystemLayout((h.num_qubits // count,) * count)
+    psi_a, psi_b, h_mat = dense_tree_state(a), dense_tree_state(b), hamiltonian_matrix(h)
+    assert tree_energy(a, h) == pytest.approx(np.vdot(psi_a, h_mat @ psi_a).real, abs=1e-10)
+    assert tree_overlap(a, b) == pytest.approx(np.vdot(psi_a, psi_b), abs=1e-10)
+    assert tree_transition_energy(a, b, h) == pytest.approx(
+        np.vdot(psi_a, h_mat @ psi_b), abs=1e-10
+    )
 
 
 # Slot 3 drives two gates, slots first appear in the order 3, 1, 0, 4, and
@@ -1085,7 +1068,7 @@ def test_subspace_matrices_match_dense_states():
     trees = _subspace_trees()
     h = crossing_hamiltonian()
     h_mat, s_mat = subspace_matrices(trees, h)
-    states = [dense_tree_state(tree_to_dense_spec(t)) for t in trees]
+    states = [dense_tree_state(t) for t in trees]
     dense_h = hamiltonian_matrix(h)
     for i in range(3):
         for j in range(3):
@@ -1107,7 +1090,7 @@ def test_expansion_beats_every_member_and_respects_the_floor():
     assert energy >= ground - 1e-9
     assert coeffs.conj() @ s_mat @ coeffs == pytest.approx(1.0, abs=1e-9)
 
-    states = [dense_tree_state(tree_to_dense_spec(t)) for t in trees]
+    states = [dense_tree_state(t) for t in trees]
     mixed = sum(c * psi for c, psi in zip(coeffs, states))
     rayleigh = np.real(
         mixed.conj() @ hamiltonian_matrix(h) @ mixed

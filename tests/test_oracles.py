@@ -1,5 +1,6 @@
 """Exact-diagonalization oracles and dense reference routes."""
 
+import ast
 import math
 import os
 import subprocess
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 from hybridtn import oracles
 from hybridtn.cli import RUN_BYTES_LIMIT
 from hybridtn.oracles import (
-    DenseTreeSpec,
     OracleLimitError,
     _lanczos_ground,
     apply_hamiltonian,
@@ -27,8 +27,9 @@ from hybridtn.oracles import (
 )
 from hybridtn.pauli import Hamiltonian, PauliTerm, build_1d_cluster, build_2d_web
 from hybridtn.statevector import Circuit
-from hybridtn.tensors import QuantumTensor
-from hybridtn.verify import random_qq_tree, tree_to_dense_spec
+from hybridtn.tensors import MpsTensor, QuantumTensor
+from hybridtn.tree import ChildLink, HybridTree, TreeNode
+from hybridtn.verify import random_qq_tree
 
 from _support import mps_from_product, pauli_term
 
@@ -470,22 +471,29 @@ def computational_family(n: int, labels) -> QuantumTensor:
     return QuantumTensor.shared(Circuit(n, (), 0), labels, np.zeros(0))
 
 
+def computational_leaves(*families: QuantumTensor):
+    """One leaf per family, on the parent's qubit or site 0, 1, ..."""
+    return tuple(ChildLink(s, TreeNode(f)) for s, f in enumerate(families))
+
+
 def test_dense_tree_state_bell_root():
-    coeff = np.zeros((2, 2))
-    coeff[0, 0] = coeff[1, 1] = 1 / math.sqrt(2)
-    fam = dense_family(computational_family(1, ("0", "1")))
-    psi = dense_tree_state(DenseTreeSpec(coeff, (fam, fam)))
+    # an MPS root with a diagonal bond over two one-qubit basis families
+    bell = np.zeros((1, 2, 2))
+    bell[0, 0, 0] = bell[0, 1, 1] = 1 / math.sqrt(2)
+    root = MpsTensor((bell, np.eye(2).reshape(2, 2, 1)))
+    fam = computational_family(1, ("0", "1"))
+    psi = dense_tree_state(HybridTree(TreeNode(root, computational_leaves(fam, fam))))
     np.testing.assert_allclose(
         psi, np.array([1, 0, 0, 1]) / math.sqrt(2), atol=1e-15
     )
 
 
 def test_dense_tree_state_product_root_selects_members():
-    coeff = np.zeros((2, 2))
-    coeff[1, 0] = 1.0  # branch 0 -> member 1, branch 1 -> member 0
-    fam0 = dense_family(computational_family(1, ("0", "1")))
-    fam1 = dense_family(computational_family(2, ("10", "01")))
-    psi = dense_tree_state(DenseTreeSpec(coeff, (fam0, fam1)))
+    # site 0 -> member 1 of branch 0, site 1 -> member 0 of branch 1
+    fam0 = computational_family(1, ("0", "1"))
+    fam1 = computational_family(2, ("10", "01"))
+    leaves = computational_leaves(fam0, fam1)
+    psi = dense_tree_state(HybridTree(TreeNode(mps_from_product("10"), leaves)))
     # branch 0 occupies the low qubit: |1> (x) |10> -> global |101>
     want = np.zeros(8)
     want[0b101] = 1.0
@@ -496,28 +504,50 @@ def test_dense_tree_state_normalized_for_qq_trees():
     rng = np.random.default_rng(42)
     for _ in range(5):
         tree = random_qq_tree(rng, 2, 2)
-        psi = dense_tree_state(tree_to_dense_spec(tree))
+        psi = dense_tree_state(tree)
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_dense_tree_state_size_limit():
-    rng = np.random.default_rng(43)
-    fam = rng.normal(size=(2, 2**6))
-    coeff = np.zeros((2, 2, 2))
-    coeff[0, 0, 0] = 1.0
-    with pytest.raises(OracleLimitError):
-        dense_tree_state(DenseTreeSpec(coeff, (fam, fam, fam)))
+def test_dense_tree_state_size_limit(monkeypatch):
+    # a 3-qubit root over three 6-qubit branches: 18 qubits, refused before
+    # any family is simulated
+    def no_circuit(self):
+        raise AssertionError("a family was simulated")
+
+    monkeypatch.setattr(QuantumTensor, "family_states", no_circuit)
+    fam = computational_family(6, ("0" * 6, "1" * 6))
+    root = TreeNode(computational_family(3, ("000",)), computational_leaves(fam, fam, fam))
+    with pytest.raises(OracleLimitError, match="18-qubit"):
+        dense_tree_state(HybridTree(root))
 
 
-def test_dense_family_mps_site_order():
-    # site 0 is the label leg; site m holds local qubit m-1
-    m = mps_from_product("010")
-    fam = dense_family(m)
-    assert fam.shape == (2, 4)
-    want = np.zeros(4)
-    want[0b01] = 1.0  # qubit 0 set, qubit 1 clear
-    np.testing.assert_allclose(fam[0], want, atol=1e-15)
-    np.testing.assert_allclose(fam[1], np.zeros(4), atol=1e-15)
+def test_dense_tree_state_mps_site_order():
+    # a root MPS's site m is its qubit m; a branch MPS's site 0 is its
+    # label leg and site m its qubit m - 1
+    np.testing.assert_allclose(
+        dense_tree_state(HybridTree(TreeNode(mps_from_product("010")))),
+        np.eye(8)[0b010],
+        atol=1e-15,
+    )
+    branch = (ChildLink(0, TreeNode(mps_from_product("010"))),)
+    for label, want in (("0", np.eye(4)[0b01]), ("1", np.zeros(4))):
+        root = TreeNode(computational_family(1, (label,)), branch)
+        np.testing.assert_allclose(dense_tree_state(HybridTree(root)), want, atol=1e-15)
+
+
+def test_oracles_import_only_the_tree_data_classes():
+    # the dense references must not reuse the contractions they check
+    found: dict = {}
+    for node in ast.walk(ast.parse(Path(oracles.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = ("hybridtn." if node.level else "") + (node.module or "")
+            found.setdefault(module, set()).update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                found.setdefault(alias.name, set()).add("*")
+    assert found.get("hybridtn.tree", set()) <= {"HybridTree", "TreeNode", "ChildLink"}
+    transfer = {"mps_general_expectation", "mps_open_site_matrix"}
+    assert not found.get("hybridtn.tensors", set()) & transfer
 
 
 def test_dense_family_open_index_rows():

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from hybridtn.oracles import (
-    DenseTreeSpec,
-    dense_family,
-    dense_tree_state,
-    hamiltonian_matrix,
-    mps_dense,
-    pauli_term_matrix,
-)
+from hybridtn.oracles import dense_tree_state, hamiltonian_matrix, pauli_term_matrix
 from hybridtn.pauli import (
     Hamiltonian,
     PauliTerm,
@@ -27,15 +20,13 @@ from hybridtn.tree import (
     HybridTree,
     ProductObservable,
     TreeNode,
-    build_two_layer_cq,
-    build_two_layer_qc,
     build_two_layer_qq,
     tree_energy,
     tree_expectation,
     tree_overlap,
     tree_transition_energy,
 )
-from hybridtn.verify import random_qq_tree, tree_to_dense_spec
+from hybridtn.verify import random_qq_tree
 
 from _support import flat_params, product_observable, random_mps
 
@@ -54,7 +45,7 @@ def test_expectation_matches_dense_state():
     rng = np.random.default_rng(50)
     for _ in range(8):
         tree = random_qq_tree(rng, 2, 2)
-        psi = dense_tree_state(tree_to_dense_spec(tree))
+        psi = dense_tree_state(tree)
         term = global_term(rng, 4)
         obs = product_observable(term, tree.layout)
         got = tree_expectation(tree, obs)
@@ -87,7 +78,7 @@ def test_energy_matches_dense_both_models():
         tree = random_qq_tree(rng, k, n)
         # one subsystem per branch: the root's qubits all carry branches
         assert tree.layout == SubsystemLayout((n,) * k)
-        psi = dense_tree_state(tree_to_dense_spec(tree))
+        psi = dense_tree_state(tree)
         want = float(np.real(psi.conj() @ hamiltonian_matrix(h) @ psi))
         assert tree_energy(tree, h) == pytest.approx(want, abs=1e-10)
 
@@ -122,45 +113,14 @@ def test_strategies_agree_through_the_tree():
         assert got == pytest.approx(want, abs=1e-9), strategy
 
 
-# ---------------------------------------------------------------------------
-# classical root / classical branches
-
-def test_mps_root_tree_matches_dense():
-    rng = np.random.default_rng(56)
-    k, n = 2, 2
-    root = random_mps(k, chi=2, seed=57)
-    branches = [build_hardware_efficient_ansatz(n, 2) for _ in range(k)]
-    params = rng.uniform(-np.pi, np.pi, size=sum(b.num_params for b in branches))
-    tree = build_two_layer_qc(root, branches, params)
-    assert tree.layout == SubsystemLayout((n,) * k)
-    spec = DenseTreeSpec(
-        mps_dense(root),
-        tuple(dense_family(link.node.payload) for link in tree.root.children),
-    )
-    psi = dense_tree_state(spec)
-    h, _ = build_1d_cluster(n, k, lam=0.5, seed=23)
+def test_energy_matches_dense_with_branches_listed_out_of_attach_order():
+    # the first listed branch, on root qubit 1, holds the low qubits
+    tree = random_qq_tree(np.random.default_rng(1), 2, 2)
+    swapped = HybridTree(TreeNode(tree.root.payload, tree.root.children[::-1]))
+    h, _ = build_1d_cluster(2, 2, lam=0.9, seed=4)
+    psi = dense_tree_state(swapped)
     want = float(np.real(psi.conj() @ hamiltonian_matrix(h) @ psi))
-    assert tree_energy(tree, h) == pytest.approx(want, abs=1e-10)
-
-
-def test_mps_branch_tree_matches_dense():
-    rng = np.random.default_rng(58)
-    k, n = 2, 2
-    root_circuit = build_hardware_efficient_ansatz(k, 2)
-    branch_mps = [random_mps(n + 1, chi=2, seed=60 + s) for s in range(k)]
-    params = rng.uniform(-np.pi, np.pi, size=root_circuit.num_params)
-    tree = build_two_layer_cq(root_circuit, branch_mps, params)
-    # a branch MPS's site 0 is its upward leg, the others its qubits
-    assert tree.layout == SubsystemLayout((n,) * k)
-    coeff = tree.root.payload.joint_state().reshape((2,) * k)
-    coeff = coeff.transpose(tuple(range(k - 1, -1, -1)))
-    spec = DenseTreeSpec(
-        coeff, tuple(dense_family(m) for m in branch_mps)
-    )
-    psi = dense_tree_state(spec)
-    h, _ = build_1d_cluster(n, k, lam=0.5, seed=24)
-    want = float(np.real(psi.conj() @ hamiltonian_matrix(h) @ psi))
-    assert tree_energy(tree, h) == pytest.approx(want, abs=1e-10)
+    assert tree_energy(swapped, h) == pytest.approx(want, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +131,8 @@ def test_overlap_self_and_cross():
     a = random_qq_tree(rng, 2, 2)
     b = random_qq_tree(rng, 2, 2)
     assert tree_overlap(a, a) == pytest.approx(1.0 + 0j, abs=1e-10)
-    psi_a = dense_tree_state(tree_to_dense_spec(a))
-    psi_b = dense_tree_state(tree_to_dense_spec(b))
+    psi_a = dense_tree_state(a)
+    psi_b = dense_tree_state(b)
     want = complex(np.vdot(psi_a, psi_b))
     assert tree_overlap(a, b) == pytest.approx(want, abs=1e-10)
 
@@ -181,8 +141,8 @@ def test_transition_elements_match_dense():
     rng = np.random.default_rng(62)
     a = random_qq_tree(rng, 2, 2)
     b = random_qq_tree(rng, 2, 2)
-    psi_a = dense_tree_state(tree_to_dense_spec(a))
-    psi_b = dense_tree_state(tree_to_dense_spec(b))
+    psi_a = dense_tree_state(a)
+    psi_b = dense_tree_state(b)
 
     term = PauliTerm(1.0, global_term(rng, 4).factors)
     got = tree_transition_energy(a, b, Hamiltonian(4, (term,)))
@@ -254,6 +214,8 @@ def test_tree_rejects_two_children_on_one_attach_point():
         tree_energy(tree, h)
     with pytest.raises(ValueError, match="share an attach point"):
         tree.layout
+    with pytest.raises(ValueError, match="do not fit"):
+        dense_tree_state(tree)
 
 
 def test_tree_rejects_an_attach_point_outside_the_parent():
@@ -264,6 +226,8 @@ def test_tree_rejects_an_attach_point_outside_the_parent():
         tree_energy(tree, h)
     with pytest.raises(ValueError, match="attach point 5"):
         tree_overlap(tree, tree)
+    with pytest.raises(ValueError, match="do not fit"):
+        dense_tree_state(tree)
 
 
 def test_branch_mps_rejects_a_child_on_its_upward_leg():
