@@ -10,8 +10,9 @@ Verbs:
 
 Configs are JSON with an explicit ``versions`` stanza; unknown keys are
 rejected so physics parameters cannot be silently misspelled.  Every
-result echoes the complete effective configuration, and exact-mode runs
-are byte-deterministic for a fixed config and seed.
+result echoes the complete effective configuration.  Runs are
+byte-deterministic for a fixed config and seed on one numpy/BLAS build
+at one BLAS thread count (the flow solve's Cholesky factor depends on it).
 
 Exit codes: 0 success, 2 config error, 3 oracle limit, 4 optimizer did
 not converge (results are still written; stderr says why it stopped:

@@ -50,6 +50,14 @@ from .tensors import SHARED_UNITARY, QuantumTensor
 from .tree import HybridTree, _Pass, _preorder, tree_overlap, tree_transition_energy
 
 ACCEPT_SLACK = 1e-9
+DELTA = 1e-3  # finite-difference step of the metric and gradient
+DTAU_MIN = 1e-12  # a rejected step below this stalls the run
+DTAU_SHRINK = 0.5  # step factor after a rejected candidate
+DTAU_GROW = 1.2  # step factor after an accepted one, up to DTAU_CAP
+DTAU_CAP = 0.5
+MAX_RETRIES = 8  # shrinks per step before it counts as rejected
+CONV_WINDOW = 10  # consecutive flat accepted steps that mean convergence
+INIT_SCALE = 0.1  # initial parameters are drawn from [-INIT_SCALE, INIT_SCALE]
 
 
 # ---------------------------------------------------------------------------
@@ -111,34 +119,23 @@ def flow_direction(a: np.ndarray, c: np.ndarray, reg: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IteConfig:
-    delta: float = 1e-3
+    """The flow's settable values: the first step ``dtau0``, the shift
+    ``reg`` of (A + reg I) theta_dot = -C, the energy change ``conv_tol``
+    below which an accepted step is flat, the step budget ``max_iters`` and
+    the initial point's ``seed``.  The module constants, ``DELTA`` to
+    ``INIT_SCALE``, fix the rest of the step control."""
+
     dtau0: float = 0.05
-    dtau_min: float = 1e-12
-    dtau_shrink: float = 0.5
-    dtau_grow: float = 1.2
-    dtau_cap: float = 0.5
     reg: float = 1e-6
     conv_tol: float = 1e-8
-    conv_window: int = 10
     max_iters: int = 2000
-    max_retries: int = 8
     seed: int = 0
-    init_scale: float = 0.1
 
     def __post_init__(self):
-        if self.delta <= 0 or self.dtau0 <= 0 or self.reg < 0:
-            raise ValueError("delta and dtau0 must be positive, reg nonnegative")
-        # the metric divides by delta**2
-        if not 0.0 < self.delta * self.delta < np.inf:
-            raise ValueError(f"delta**2 must be finite and nonzero, got {self.delta!r}")
-        # a zero cap or a shrinking "growth" flattens the energy into false convergence
-        if not self.dtau_cap > 0:
-            raise ValueError(f"dtau_cap must be positive, got {self.dtau_cap!r}")
-        if not self.dtau_grow >= 1:
-            raise ValueError(f"dtau_grow must be >= 1, got {self.dtau_grow!r}")
-        # the initial point is drawn from [-init_scale, init_scale]
-        if not np.isfinite(2.0 * self.init_scale):
-            raise ValueError(f"2 * init_scale must be finite, got {self.init_scale!r}")
+        if self.dtau0 <= 0 or self.reg < 0:
+            raise ValueError("dtau0 must be positive, reg nonnegative")
+        if not self.conv_tol > 0:  # else no step is flat and runs end at max_iters
+            raise ValueError(f"conv_tol must be positive, got {self.conv_tol!r}")
 
 
 @dataclass
@@ -186,11 +183,11 @@ def ite_step(problem, state: IteState, config: IteConfig) -> IteState:
     metric, gradient, candidate step or candidate energy raises
     FloatingPointError.
     """
-    a = metric_a(problem, state.params, config.delta)
-    c = gradient_c(problem, state.params, config.delta)
+    a = metric_a(problem, state.params, DELTA)
+    c = gradient_c(problem, state.params, DELTA)
     theta_dot = flow_direction(a, c, config.reg)
     dtau = state.dtau
-    for _ in range(config.max_retries + 1):
+    for _ in range(MAX_RETRIES + 1):
         with np.errstate(over="ignore", invalid="ignore"):  # checked next
             cand = state.params + dtau * theta_dot
         if not np.isfinite(cand).all():
@@ -203,13 +200,13 @@ def ite_step(problem, state: IteState, config: IteConfig) -> IteState:
                 params=cand,
                 tau=state.tau + dtau,
                 energy=e_new,
-                dtau=min(dtau * config.dtau_grow, config.dtau_cap),
+                dtau=min(dtau * DTAU_GROW, DTAU_CAP),
                 c_vector=c,
                 accepted=True,
                 last_dtau=dtau,
             )
-        dtau *= config.dtau_shrink
-        if dtau < config.dtau_min:
+        dtau *= DTAU_SHRINK
+        if dtau < DTAU_MIN:
             break
     return IteState(
         params=state.params,
@@ -222,20 +219,20 @@ def ite_step(problem, state: IteState, config: IteConfig) -> IteState:
     )
 
 
-def initial_parameters(num_params: int, seed: int, scale: float = 0.1) -> np.ndarray:
+def initial_parameters(num_params: int, seed: int) -> np.ndarray:
     stream = SplitMix64(seed)
-    return np.array([stream.uniform(-scale, scale) for _ in range(num_params)])
+    return np.array([stream.uniform(-INIT_SCALE, INIT_SCALE) for _ in range(num_params)])
 
 
 def run_ite(problem, config: IteConfig = IteConfig(), init_params=None) -> IteResult:
     """Iterate the flow until the energy is flat over a trailing window.
 
-    The run also ends when the step stalls below ``dtau_min``, after
+    The run also ends when the step stalls below ``DTAU_MIN``, after
     ``max_iters`` steps, or when a metric, gradient, candidate step or
     energy turns non-finite; ``stop_reason`` says which.
     """
     if init_params is None:
-        params = initial_parameters(problem.num_params, config.seed, config.init_scale)
+        params = initial_parameters(problem.num_params, config.seed)
     else:
         params = np.asarray(init_params, dtype=float).copy()
         if len(params) != problem.num_params:
@@ -274,9 +271,9 @@ def run_ite(problem, config: IteConfig = IteConfig(), init_params=None) -> IteRe
                 if abs(new_state.energy - state.energy) < config.conv_tol
                 else 0
             )
-            if flat >= config.conv_window:
+            if flat >= CONV_WINDOW:
                 reason = "converged"
-        elif new_state.dtau < config.dtau_min:
+        elif new_state.dtau < DTAU_MIN:
             reason = "stalled"  # no descent direction at the smallest step
         state = new_state
     return IteResult(

@@ -398,7 +398,7 @@ def check_descent(seed: int = 21) -> CheckResult:
     h, _ = build_1d_cluster(2, 2, lam=1.0, seed=5)
     problem = TreeProblem(tree, h)
     # reg 1e-2 as in the acceptance configs: at 1e-6 any rounding moves the path
-    config = IteConfig(max_iters=15, conv_window=10**9, reg=1e-2, seed=seed)
+    config = IteConfig(max_iters=15, reg=1e-2, seed=seed)
     result = run_ite(problem, config)
     energies = [r.energy for r in result.trajectory if r.accepted]
     drops = [b - a for a, b in zip(energies, energies[1:])]

@@ -282,10 +282,10 @@ def test_step_rejects_when_no_move_lowers_energy():
     assert stepped.params[0] == 0.0
     assert stepped.energy == 0.0
     assert stepped.tau == 0.0
-    # every retry halves the step: max_retries + 1 attempts leave 0.05 / 2**9
+    # every retry halves the step: MAX_RETRIES + 1 attempts leave 0.05 / 2**9
     assert stepped.dtau == pytest.approx(0.05 * 0.5**9, rel=1e-12)
     assert stepped.c_vector[0] == pytest.approx(0.5, abs=1e-12)
-    assert metric_a(problem, state.params, config.delta)[0, 0] == pytest.approx(1.0, abs=1e-6)
+    assert metric_a(problem, state.params, ite.DELTA)[0, 0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_run_stays_pinned_at_kink():
@@ -349,14 +349,25 @@ def test_run_stops_on_non_finite_flow(problem, reason):
     assert np.isfinite(result.energy)
 
 
+class _SpikeProblem(_KinkProblem):
+    """One parameter, energy 0 at theta = 0 and 1 elsewhere: every move
+    off zero raises the energy by far more than the slack."""
+
+    def energy(self, params):
+        return 0.0 if params[0] == 0.0 else 1.0
+
+
 def test_run_reports_why_it_stopped():
     assert run_ite(_KinkProblem(), IteConfig(), init_params=[0.0]).stop_reason == "converged"
     capped = run_ite(_KinkProblem(), IteConfig(max_iters=2), init_params=[0.5])
     assert capped.stop_reason == "max_iters" and capped.iterations == 2
-    # every move off the kink raises the energy, so the step shrinks below
-    # dtau_min before it gets small enough to pass within the slack
-    stalled = run_ite(_KinkProblem(), IteConfig(dtau_min=0.01), init_params=[0.0])
-    assert stalled.stop_reason == "stalled" and stalled.iterations == 1
+    # each rejected step shrinks dtau by 0.5**9 from 0.05, which falls
+    # below DTAU_MIN = 1e-12 on the fourth step
+    stalled = run_ite(_SpikeProblem(), IteConfig(), init_params=[0.0])
+    assert stalled.stop_reason == "stalled" and stalled.iterations == 4
+    assert not any(r.accepted for r in stalled.trajectory[1:])
+    assert stalled.params[0] == 0.0 and stalled.energy == 0.0
+    assert stalled.trajectory[-1].dtau < ite.DTAU_MIN <= stalled.trajectory[-2].dtau
 
 
 def test_run_reaches_known_two_qubit_ground_energy():
@@ -444,24 +455,25 @@ def test_tree_problem_rejects_register_mismatch():
 
 
 def test_config_rejects_bad_values_and_keeps_defaults():
-    for bad in (dict(delta=0.0), dict(dtau0=-0.1), dict(reg=-1e-9),
-                dict(dtau_cap=0.0), dict(dtau_grow=0.5)):
+    for bad in (dict(dtau0=-0.1), dict(dtau0=0.0), dict(reg=-1e-9), dict(conv_tol=0.0)):
         with pytest.raises(ValueError):
             IteConfig(**bad)
     config = IteConfig()
-    assert config.delta == 1e-3
     assert config.dtau0 == 0.05
-    assert config.dtau_min == 1e-12
-    assert config.dtau_shrink == 0.5
-    assert config.dtau_grow == 1.2
-    assert config.dtau_cap == 0.5
     assert config.reg == 1e-6
     assert config.conv_tol == 1e-8
-    assert config.conv_window == 10
     assert config.max_iters == 2000
-    assert config.max_retries == 8
+    assert config.seed == 0
     assert not hasattr(config, "shots")
-    assert config.init_scale == 0.1
+    assert (ite.DELTA, ite.DTAU_MIN, ite.DTAU_SHRINK) == (1e-3, 1e-12, 0.5)
+    assert (ite.DTAU_GROW, ite.DTAU_CAP, ite.MAX_RETRIES) == (1.2, 0.5, 8)
+    assert (ite.CONV_WINDOW, ite.INIT_SCALE) == (10, 0.1)
+    # the bounds the step controls need: the metric divides by DELTA**2, a
+    # zero cap or a shrinking growth would flatten the energy into false
+    # convergence, and the initial interval is finite
+    assert 0.0 < ite.DELTA * ite.DELTA < np.inf
+    assert ite.DTAU_CAP > 0 and ite.DTAU_GROW >= 1
+    assert np.isfinite(2.0 * ite.INIT_SCALE)
 
 
 def test_flow_direction_solves_the_regularized_system():
@@ -531,9 +543,9 @@ def test_initial_parameters_are_seeded_and_bounded():
     first = initial_parameters(50, seed=5)
     assert np.array_equal(first, initial_parameters(50, seed=5))
     assert not np.array_equal(first, initial_parameters(50, seed=6))
-    assert np.abs(first).max() <= 0.1
-    assert np.abs(initial_parameters(50, seed=5, scale=0.3)).max() <= 0.3
-    assert np.abs(initial_parameters(50, seed=5, scale=0.3)).max() > 0.1
+    # the draws lie within INIT_SCALE and reach past a third of it
+    assert np.abs(first).max() <= ite.INIT_SCALE
+    assert np.abs(first).max() > ite.INIT_SCALE / 3
 
 
 # ---------------------------------------------------------------------------
