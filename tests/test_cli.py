@@ -161,6 +161,18 @@ def test_config_rejects_bad_field_values():
             config_from_dict(minimal_config(**overrides))
 
 
+@pytest.mark.parametrize("delta", [1e155, 1e-200])
+def test_config_rejects_delta_whose_square_leaves_the_floats(tmp_path, capsys, delta):
+    # delta is the fixed constant ite.DELTA, so no config can set a step whose
+    # square overflows or underflows; naming it at all is a config error
+    config_path = write_config(tmp_path, minimal_config(ite={"delta": delta}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == EXIT_CONFIG
+    assert "unknown ite key(s) delta;" in capsys.readouterr().err
+    assert not (out / "result.json").exists()
+    assert 0.0 < ite.DELTA**2 < float("inf")
+
+
 # the step controls that are module constants of hybridtn.ite, at their values
 REMOVED_ITE_KEYS = {
     "delta": 1e-3,
