@@ -122,6 +122,13 @@ def _as_int(value, field: str, minimum: int = 0) -> int:
     return value
 
 
+def _as_seed(value, field: str) -> int:
+    seed = _as_int(value, field)
+    if seed > 2**64 - 1:  # SplitMix64 keeps 64 bits: a larger seed aliases a smaller one
+        raise ConfigError(f"{field} must be <= 2**64 - 1 = {2**64 - 1}, got {seed}")
+    return seed
+
+
 def _as_float(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{field} must be a number, got {value!r}")
@@ -203,7 +210,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     fields = _parse_fields(_require_mapping(data.get("fields", {}), "fields"))
     d_u = _as_int(data.get("d_U", 8), "d_U", minimum=1)
     d_v = _as_int(data.get("d_V", 4), "d_V", minimum=1)
-    seed = _as_int(data.get("seed", 0), "seed", minimum=0)
+    seed = _as_seed(data.get("seed", 0), "seed")
 
     ite_overrides = _parse_ite(_require_mapping(data.get("ite", {}), "ite"))
     try:
@@ -237,8 +244,8 @@ def run_bytes_estimate(config: ExperimentConfig) -> int:
     2**qubits complex amplitudes: k branches of n qubits with 2 labels,
     swept together in one buffer, and the k-qubit root with 1.  The sweep
     of the larger of the two writes its GEMMs and CNOTs into a second
-    buffer of its size, and the p x p complex overlap matrix comes on top.
-    Caps far past the limit keep the arithmetic small.
+    buffer of its size, and the flow's real p x p metric and its Cholesky
+    factor come on top.  Caps far past the limit keep the arithmetic small.
     """
     n, k = min(config.n, 64), min(config.k, 64)
     p_u = ansatz_param_count(n, min(config.d_u, 2**20))
@@ -360,7 +367,7 @@ def _require_run_fits(config: ExperimentConfig) -> None:
     if needed > RUN_BYTES_LIMIT:
         raise ConfigError(
             f"a run needs at least {needed / 2**30:.3g} GiB for its perturbed "
-            f"state stacks and overlap matrix, over the {RUN_BYTES_LIMIT / 2**30:g} "
+            f"state stacks and metric, over the {RUN_BYTES_LIMIT / 2**30:g} "
             "GiB limit; lower n, k, d_U or d_V"
         )
 
@@ -529,7 +536,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            config = with_seed(config, _as_int(args.seed, "--seed"))
+            config = with_seed(config, _as_seed(args.seed, "--seed"))
         out_dir = Path(args.out if args.out is not None else (config.out or "results"))
         if args.verb == "run":
             return cmd_run(config, out_dir)

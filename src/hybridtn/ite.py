@@ -8,17 +8,17 @@ The parameter update follows the projected flow A theta_dot = -C with
 both estimated by finite differences: the metric from the four-overlap
 stencil
 
-    <d_i psi|d_j psi> ~ [S_ij - conj(s_i) - s_j + n0] / delta**2
+    A_ij ~ D_ij / delta**2,   D_ij = Re[S_ij - S_i0 - S_0j + S_00]
 
-with S_ij = <psi(t+d e_i)|psi(t+d e_j)>, s_i = <psi(t)|psi(t+d e_i)>,
-n0 = <psi(t)|psi(t)>, and the gradient from forward energy differences.
+with S_ij = <psi(t+d e_i)|psi(t+d e_j)> and index 0 the unperturbed
+point, and the gradient from forward energy differences.
 A step is accepted only if the energy does not increase (up to a small
 slack); the step size shrinks on rejection and grows gently on success.
 
 The flow has one problem, :class:`TreeProblem`, which evaluates a tree
 exactly: ``energy(params)`` serves the line search, and the whole
 finite-difference stencil comes in one batched pass each for the metric
-(``_overlap_fd_matrix(params, delta) -> (S, s, n0)``) and the gradient
+(``_overlap_fd_matrix(params, delta) -> D``, real p x p) and the gradient
 (``_energies_fd(params, delta) -> (e0, evec)``).  A single circuit is a
 one-node tree.  Payload circuits that are equal on equal initial
 states, like the sibling branches of the built trees, form a group, and
@@ -29,12 +29,13 @@ single-slot perturbed row of every member, and at a line-search energy
 the families alone.  A perturbed state differs from the base in one
 node, so the tree contraction of :mod:`hybridtn.tree` with that node open
 yields a whole block of the stencil: one contraction per unordered node
-pair gives the overlaps (the reversed pair is its conjugate transpose),
-and one per node the energies, whose terms are summed into the node's
-environment before its perturbed rows are contracted.  The flow system is
-solved by Cholesky, with a least-squares fallback when A + reg I is not
-numerically positive definite; a non-finite metric, gradient or energy
-ends the run with a stated reason.
+pair gives a block of D from its own base row and column (the reversed
+pair's block is the transpose), and one per node the energies, whose
+terms are summed into the node's environment before its perturbed rows
+are contracted.  The flow system is solved by Cholesky, with a
+least-squares fallback when A + reg I is not numerically positive
+definite; a non-finite metric, gradient or energy ends the run with a
+stated reason.
 """
 
 from __future__ import annotations
@@ -65,17 +66,15 @@ INIT_SCALE = 0.1  # initial parameters are drawn from [-INIT_SCALE, INIT_SCALE]
 
 def metric_a(problem, params, delta: float) -> np.ndarray:
     """Symmetrized finite-difference estimate of Re <d_i psi|d_j psi>."""
-    params = np.asarray(params, dtype=float)
-    s_mat, s_vec, n0 = problem._overlap_fd_matrix(params, delta)
-    a = (s_mat - np.conj(s_vec)[:, None] - s_vec[None, :] + n0).real
-    a /= delta**2
-    return 0.5 * (a + a.T)
+    d = problem._overlap_fd_matrix(np.asarray(params, dtype=float), delta)
+    a = d + d.T
+    a *= 0.5 / delta**2
+    return a
 
 
 def gradient_c(problem, params, delta: float) -> np.ndarray:
     """C_i = (E(t + d e_i) - E(t)) / (2 d) by forward differences."""
-    params = np.asarray(params, dtype=float)
-    e0, evec = problem._energies_fd(params, delta)
+    e0, evec = problem._energies_fd(np.asarray(params, dtype=float), delta)
     return 0.5 * (np.asarray(evec) - e0) / delta
 
 
@@ -132,7 +131,7 @@ class IteConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dtau0 <= 0 or self.reg < 0:
+        if not self.dtau0 > 0 or not self.reg >= 0:  # NaN fails both
             raise ValueError("dtau0 must be positive, reg nonnegative")
         if not self.conv_tol > 0:  # else no step is flat and runs end at max_iters
             raise ValueError(f"conv_tol must be positive, got {self.conv_tol!r}")
@@ -387,28 +386,22 @@ class TreeProblem:
         return self._point[1]
 
     def _overlap_fd_matrix(self, params, delta):
-        """All overlaps of the finite-difference stencil, one pass per node pair.
+        """The stencil's double differences D, one pass per node pair.
 
         A perturbed state differs from the base in one node, so the bra
         opens node u and the ket node v, and the (u, v) root block holds
         <psi(t + d e_i)|psi(t + d e_j)> for i in u's slice, j in v's, with
-        the base state in row and column 0.
+        the base state in row and column 0: its own base row and column
+        give block (u, v) of D, and block (v, u) is the transpose.
         """
-        params = np.asarray(params, dtype=float)
         run = self._fd_pass(params, delta)
-        p = self.num_params
-        s_mat = np.empty((p, p), dtype=complex)
-        s_vec = np.empty(p, dtype=complex)
+        d = np.empty((self.num_params, self.num_params))
         for at, (u, su) in enumerate(self._open):
             for v, sv in self._open[at:]:
-                blk = run.block(0, u, v)[:, :, 0, 0]
-                s_mat[su, sv] = blk[1:, 1:]
-                s_mat[sv, su] = blk[1:, 1:].conj().T
-                if v == u:
-                    s_vec[su] = blk[0, 1:]
-        first = self._open[0][0] if self._open else None  # row 0 is the base
-        n0 = complex(run.block(0, first, first)[0, 0, 0, 0])
-        return s_mat, s_vec, n0
+                real = run.block(0, u, v)[:, :, 0, 0].real
+                blk = real[1:, 1:] - real[1:, :1] - real[:1, 1:] + real[0, 0]
+                d[su, sv], d[sv, su] = blk, blk.T
+        return d
 
     def _energies_fd(self, params, delta):
         """Base energy and all single-slot forward-perturbed energies.
@@ -416,7 +409,6 @@ class TreeProblem:
         One row-carrying contraction per open node: its environment, summed
         over the terms, against its blocks in every perturbed row.
         """
-        params = np.asarray(params, dtype=float)
         run = self._fd_pass(params, delta)
         evec = np.empty(self.num_params)
         for u, su in self._open:

@@ -53,7 +53,7 @@ class PointwiseStencil:
                 s_mat[j, i] = np.conj(val)
         s_vec = np.array([self.overlap(params, sh) for sh in shifted])
         n0 = self.overlap(params, params)
-        return s_mat, s_vec, n0
+        return (s_mat - np.conj(s_vec)[:, None] - s_vec[None, :] + n0).real
 
     def _energies_fd(self, params, delta):
         e0 = self.energy(params)

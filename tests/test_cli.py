@@ -151,6 +151,7 @@ def test_config_rejects_bad_field_values():
         dict(n=True),
         dict(shots=-1),
         dict(seed=-1),
+        dict(seed=2**64),
         dict(out=5),
         dict(ite={"max_iters": 0}),
         dict(ite={"dtau0": 0.0}),
@@ -441,8 +442,8 @@ def test_run_skips_oracle_beyond_its_limit(tmp_path):
 
 def test_run_bytes_estimate_counts_the_stacks_and_the_overlap_matrix(monkeypatch):
     # the stacks a stencil point keeps, the second buffer of its largest
-    # sweep and the overlap matrix; in the second config the root's sweep
-    # is the larger one
+    # sweep, and the real p x p metric with its Cholesky factor; in the
+    # second config the root's sweep is the larger one
     swept = []
 
     def recording(circuit, params, init, delta):
@@ -472,7 +473,7 @@ def test_run_bytes_estimate_admits_the_papers_scale():
     [
         {"n": 20, "k": 1, "d_U": 8},  # one branch stack alone is about 16 GiB
         {"n": 1, "k": 30},  # the root's stack
-        {"n": 2, "d_U": 10**5},  # the overlap matrix
+        {"n": 2, "d_U": 10**5},  # the metric
         {"n": 10**30, "k": 10**30, "d_U": 10**400},
     ],
 )
@@ -514,6 +515,25 @@ def test_seed_flag_overrides_config_seed(tmp_path):
     payload = read_result(out_a)
     assert payload["config"]["seed"] == 9
     assert payload["params"] != read_result(out_b)["params"]
+
+
+def test_seeds_past_64_bits_exit_2_from_the_config_and_the_flag(tmp_path, capsys):
+    # the generator keeps 64 bits, so 2**64 + 5 would silently run as seed 5
+    big = 2**64 + 5
+    runs = [
+        (write_config(tmp_path, minimal_config(seed=big), "big.json"), []),
+        (write_config(tmp_path, minimal_config()), ["--seed", str(big)]),
+    ]
+    for config_path, flag in runs:
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(config_path), "--out", str(out)] + flag
+        assert main(argv) == EXIT_CONFIG
+        assert f"<= 2**64 - 1 = {2**64 - 1}, got {big}" in capsys.readouterr().err
+        assert not (out / "result.json").exists()
+    top = tmp_path / "top"
+    argv = ["run", "--config", str(runs[1][0]), "--out", str(top), "--seed", str(2**64 - 1)]
+    assert main(argv) == EXIT_OK
+    assert read_result(top)["config"]["seed"] == 2**64 - 1
 
 
 # ---------------------------------------------------------------------------

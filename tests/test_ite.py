@@ -1,6 +1,7 @@
 """Imaginary-time flow: difference stencils, step control, and subspace mixing."""
 
 import json
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -455,7 +456,15 @@ def test_tree_problem_rejects_register_mismatch():
 
 
 def test_config_rejects_bad_values_and_keeps_defaults():
-    for bad in (dict(dtau0=-0.1), dict(dtau0=0.0), dict(reg=-1e-9), dict(conv_tol=0.0)):
+    nan = float("nan")
+    for bad in (
+        dict(dtau0=-0.1),
+        dict(dtau0=0.0),
+        dict(dtau0=nan),
+        dict(reg=-1e-9),
+        dict(reg=nan),
+        dict(conv_tol=0.0),
+    ):
         with pytest.raises(ValueError):
             IteConfig(**bad)
     config = IteConfig()
@@ -602,7 +611,7 @@ def test_fast_stencil_overlaps_match_pointwise_tree_overlaps():
         problem = TreeProblem(tree, crossing_hamiltonian())
         params = flat_params(tree)
         delta = 1e-3
-        s_mat, s_vec, n0 = problem._overlap_fd_matrix(params, delta)
+        run = problem._fd_pass(params, delta)
 
         base = tree.with_params(params)
         shifted = []
@@ -610,13 +619,23 @@ def test_fast_stencil_overlaps_match_pointwise_tree_overlaps():
             bumped = params.copy()
             bumped[i] += delta
             shifted.append(tree.with_params(bumped))
-        assert n0 == pytest.approx(tree_overlap(base, base), abs=1e-11)
-        for i, tree_i in enumerate(shifted):
-            assert s_vec[i] == pytest.approx(tree_overlap(base, tree_i), abs=1e-11)
-            for j, tree_j in enumerate(shifted):
-                assert s_mat[i, j] == pytest.approx(
-                    tree_overlap(tree_i, tree_j), abs=1e-11
-                )
+        # every entry of every root block, row and column 0 the base state:
+        # the double differences alone would miss an error common to a block
+        for u, su in problem._open:
+            rows_u = [base] + shifted[su]
+            for v, sv in problem._open:
+                blk = run.block(0, u, v)[:, :, 0, 0]
+                rows_v = [base] + shifted[sv]
+                assert blk.shape == (len(rows_u), len(rows_v))
+                for a, tree_a in enumerate(rows_u):
+                    for b, tree_b in enumerate(rows_v):
+                        assert blk[a, b] == pytest.approx(
+                            tree_overlap(tree_a, tree_b), abs=1e-11
+                        )
+        d = problem._overlap_fd_matrix(params, delta)
+        reference = _PointwiseTreeProblem(tree, crossing_hamiltonian())
+        assert d.dtype == np.float64 and d.shape == (tree.num_params,) * 2
+        assert np.allclose(d, reference._overlap_fd_matrix(params, delta), rtol=0, atol=1e-13)
 
 
 def test_fast_stencil_energies_match_pointwise_tree_energies():
@@ -729,6 +748,26 @@ def test_fast_and_generic_routes_agree_on_metric_and_gradient():
     # open rows below and inside two-label nodes that have physical qubits
     deep = _three_layer_tree(np.random.default_rng(75))
     _assert_routes_agree(deep, build_1d_cluster(2, 4, lam=0.8, seed=14)[0])
+
+
+def test_metric_holds_at_most_three_real_p_by_p_arrays():
+    # the 2d_web n=4 k=3 acceptance start (d_U 8, d_V 4, seed 7): p = 326
+    root = build_hardware_efficient_ansatz(3, 4)
+    branch = build_hardware_efficient_ansatz(4, 8)
+    total = root.num_params + 3 * branch.num_params
+    tree = build_two_layer_qq(root, [branch] * 3, np.zeros(total))
+    problem = TreeProblem(tree, build_2d_web(4, 3, lam=1.0, seed=7)[0])
+    params = initial_parameters(problem.num_params, 7)
+    assert problem.num_params == 326
+    metric_a(problem, params, 1e-3)  # caches the stencil pass
+    tracemalloc.start()
+    try:
+        a = metric_a(problem, params, 1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * 326**2
+    assert a.dtype == np.float64 and np.array_equal(a, a.T)
 
 
 def test_fast_stencil_handles_distinct_unitaries_branches():
